@@ -13,8 +13,10 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cloud/billing.hpp"
@@ -164,10 +166,11 @@ class CloudProvider : private SpotMarket::PriceListener {
   mutable std::unordered_map<std::string, std::unique_ptr<sim::RngStream>> latency_rng_;
 
   std::unordered_map<InstanceId, Instance> instances_;
-  /// Running spot instances per market, so a price step touches only the
-  /// instances it can actually revoke — never the whole fleet. Unordered
-  /// within a market; revocation order is fixed by sorting the affected ids.
-  std::unordered_map<MarketId, std::vector<InstanceId>, MarketIdHash> running_spot_;
+  /// Running spot instances per market as (bid, id), ordered by bid, so a
+  /// step to price p visits only the instances bidding below p — never the
+  /// whole fleet. Revocation order is fixed by sorting the affected ids.
+  std::unordered_map<MarketId, std::set<std::pair<double, InstanceId>>, MarketIdHash>
+      running_spot_;
   std::unordered_map<InstanceId, Pending> pending_;
   std::unordered_map<InstanceId, RevocationHandler> revocation_handlers_;
   InstanceId next_instance_ = 1;

@@ -21,7 +21,6 @@ FleetScheduler::FleetScheduler(sim::Clock& clock,
   if (config.num_services <= 0) {
     throw std::invalid_argument("FleetScheduler: num_services must be > 0");
   }
-  if (router != nullptr) watcher_->bind_shards(*router);
   for (int i = 0; i < config.num_services; ++i) {
     SchedulerConfig cfg = config.service_template;
     if (config.stagger_placement) cfg.placement_salt = i;

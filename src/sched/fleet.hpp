@@ -67,9 +67,8 @@ class FleetScheduler {
   /// after; then read metrics().
   ///
   /// `router` (optional) pins the fleet onto shard lanes: service i goes to
-  /// lane i % shard_count() — the watcher pre-screens its price triggers on
-  /// that lane and its service-local timers run there, inside parallel
-  /// windows (World::shard_router() supplies the router when
+  /// lane i % shard_count() — its service-local timers run there, inside
+  /// parallel windows (World::shard_router() supplies the router when
   /// Scenario::shards > 1; passing nullptr keeps everything on `clock`,
   /// byte-identical either way). Every scheduler is owner-tagged with its
   /// service index so metrics() can pro-rate each lease by the owning

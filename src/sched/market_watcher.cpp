@@ -7,9 +7,10 @@
 namespace spothost::sched {
 
 namespace {
-// Interest lists shorter than this are never swept: a pass over them is
-// cheaper than the bookkeeping.
-constexpr std::size_t kSweepFloor = 16;
+
+// Watch order: the dispatch order of recipients within one market.
+constexpr auto by_seq = [](const auto& a, const auto& b) { return a.seq < b.seq; };
+
 }  // namespace
 
 MarketWatcher::MarketWatcher(sim::Clock& clock, cloud::CloudProvider& provider)
@@ -19,41 +20,90 @@ MarketWatcher::ListenerId MarketWatcher::add_listener(TriggerListener* listener)
   if (listener == nullptr) {
     throw std::invalid_argument("MarketWatcher::add_listener: null listener");
   }
-  listeners_.push_back(listener);
-  shard_of_.push_back(kNoShard);
+  slots_.push_back(Slot{listener, Interest::always(), {}});
   ++live_listeners_;
-  return static_cast<ListenerId>(listeners_.size());
+  return static_cast<ListenerId>(slots_.size());
 }
 
 void MarketWatcher::remove_listener(ListenerId id) {
   if (!alive(id)) return;
-  listeners_[static_cast<std::size_t>(id - 1)] = nullptr;
+  Slot& slot = slots_[static_cast<std::size_t>(id - 1)];
+  for (const Watch& w : slot.watched) unfile(id, slot, w);
+  slot = Slot{};
   --live_listeners_;
-  // Interest lists keep the tombstoned id until a dispatch-time sweep;
-  // dispatch skips dead entries, so no delivery can happen meanwhile.
 }
 
 void MarketWatcher::watch(ListenerId id, const std::vector<cloud::MarketId>& markets) {
   if (!alive(id)) return;
+  Slot& slot = slots_[static_cast<std::size_t>(id - 1)];
   for (const auto& market : markets) {
-    auto& ids = interest_[market];
-    if (std::find(ids.begin(), ids.end(), id) != ids.end()) continue;
-    ids.push_back(id);
-    if (!subscribed_.contains(market)) {
+    auto it = markets_.find(market);
+    if (it == markets_.end()) {
       // First interest in this market: subscribe the one shared provider
       // feed. Later listeners piggyback on the same subscription.
-      const auto sub = provider_.market(market).subscribe(
+      provider_.market(market).subscribe(
           static_cast<cloud::SpotMarket::PriceListener*>(this));
-      subscribed_.emplace(market, sub);
+      it = markets_.emplace(market, MarketIndex{market, {}, {}}).first;
     }
+    MarketIndex* index = &it->second;
+    if (std::any_of(slot.watched.begin(), slot.watched.end(),
+                    [index](const Watch& w) { return w.market == index; })) {
+      continue;
+    }
+    slot.watched.push_back(Watch{index, next_seq_++});
+    file(id, slot, slot.watched.back());
+  }
+}
+
+void MarketWatcher::set_interest(ListenerId id, Interest interest) {
+  if (!alive(id)) return;
+  Slot& slot = slots_[static_cast<std::size_t>(id - 1)];
+  if (slot.interest == interest) return;
+  for (const Watch& w : slot.watched) unfile(id, slot, w);
+  slot.interest = std::move(interest);
+  for (const Watch& w : slot.watched) file(id, slot, w);
+}
+
+void MarketWatcher::file(ListenerId id, const Slot& slot, const Watch& watch) {
+  MarketIndex& index = *watch.market;
+  switch (slot.interest.kind) {
+    case Interest::Kind::kNone:
+      return;
+    case Interest::Kind::kAlways: {
+      const Entry entry{watch.seq, id};
+      index.always.insert(std::upper_bound(index.always.begin(), index.always.end(),
+                                           entry, by_seq),
+                          entry);
+      return;
+    }
+    case Interest::Kind::kAbove:
+      if (index.id == slot.interest.market) {
+        index.above.insert(AboveEntry{slot.interest.edge, watch.seq, id});
+      }
+      return;
+  }
+}
+
+void MarketWatcher::unfile(ListenerId id, const Slot& slot, const Watch& watch) {
+  MarketIndex& index = *watch.market;
+  switch (slot.interest.kind) {
+    case Interest::Kind::kNone:
+      return;
+    case Interest::Kind::kAlways: {
+      const auto it = std::lower_bound(index.always.begin(), index.always.end(),
+                                       Entry{watch.seq, id}, by_seq);
+      if (it != index.always.end() && it->seq == watch.seq) index.always.erase(it);
+      return;
+    }
+    case Interest::Kind::kAbove:
+      if (index.id == slot.interest.market) {
+        index.above.erase(AboveEntry{slot.interest.edge, watch.seq, id});
+      }
+      return;
   }
 }
 
 sim::EventHandle MarketWatcher::schedule_hour_tick(ListenerId id, sim::SimTime at) {
-  // Always the global clock, also for pinned listeners: hour checks reach
-  // the provider, and holders cancel these handles from serial-phase paths
-  // — a shard-clock handle would make either side an illegal cross-lane
-  // operation (see the header comment).
   return clock_.at(at, [this, id] {
     Trigger trigger;
     trigger.kind = TriggerKind::kHourBoundary;
@@ -72,124 +122,41 @@ void MarketWatcher::arm_revocation(ListenerId id, cloud::InstanceId instance) {
       });
 }
 
-void MarketWatcher::bind_shards(sim::ShardRouter& router) {
-  if (router_ != nullptr) {
-    throw std::logic_error("MarketWatcher::bind_shards: already bound");
-  }
-  router_ = &router;
-  stage_.resize(1);
-  stage_[0].shard_idx.resize(router.shard_count());
-}
-
-void MarketWatcher::assign_shard(ListenerId id, std::size_t shard) {
-  if (router_ == nullptr) {
-    throw std::logic_error("MarketWatcher::assign_shard: bind_shards first");
-  }
-  if (shard >= router_->shard_count()) {
-    throw std::out_of_range("MarketWatcher::assign_shard: shard out of range");
-  }
-  if (!alive(id)) return;
-  shard_of_[static_cast<std::size_t>(id - 1)] = static_cast<std::uint32_t>(shard);
-}
-
 void MarketWatcher::on_price_change(const cloud::MarketId& market, double new_price) {
-  const auto it = interest_.find(market);
-  if (it == interest_.end()) return;
-  Trigger trigger;
-  trigger.kind = TriggerKind::kPriceChange;
-  trigger.market = market;
-  trigger.price = new_price;
-  // Iteration is by index with the length captured up front: a handler may
-  // watch() (grows the same vector — appendees are not part of this step),
-  // remove_listener (tombstones — skipped by deliver), or add_listener, all
-  // without invalidating the iteration. No snapshot; each dispatch depth
-  // owns its own stage scratch, so a reentrant dispatch from a handler
-  // cannot clobber the outer pass's entries.
-  const auto depth = static_cast<std::size_t>(dispatch_depth_);
-  ++dispatch_depth_;
-  auto& ids = it->second;
-  std::size_t dead = 0;
-  const std::size_t count = ids.size();
-  if (router_ == nullptr) {
-    // Serial engine: one inline pass in registration order.
-    for (std::size_t i = 0; i < count; ++i) {
-      const ListenerId id = ids[i];
-      if (!alive(id)) {
-        ++dead;
-        continue;
-      }
-      listeners_[static_cast<std::size_t>(id - 1)]->on_trigger(trigger);
-    }
-  } else {
-    // Sharded engine, pass 1: collect pinned listeners (in interest order)
-    // for the parallel pre-screen. Unpinned listeners are handled in the
-    // delivery pass only.
-    if (stage_.size() <= depth) stage_.resize(depth + 1);
-    StageScratch& scratch = stage_[depth];
-    scratch.entries.clear();
-    scratch.shard_idx.resize(router_->shard_count());
-    for (auto& idx : scratch.shard_idx) idx.clear();
-    for (std::size_t i = 0; i < count; ++i) {
-      const ListenerId id = ids[i];
-      if (!alive(id)) continue;
-      const std::uint32_t shard = shard_of_[static_cast<std::size_t>(id - 1)];
-      if (shard == kNoShard) continue;
-      scratch.shard_idx[shard].push_back(
-          static_cast<std::uint32_t>(scratch.entries.size()));
-      scratch.entries.push_back(StageEntry{
-          i, listeners_[static_cast<std::size_t>(id - 1)], std::uint8_t{1}});
-    }
-    // Stage: each shard evaluates its own listeners' wants_trigger in
-    // parallel. Entries are disjoint across shards and the watcher is not
-    // mutated until run_stage returns, so the only shared reads are frozen
-    // tick state. run_stage is synchronous — capturing locals is safe.
-    if (!scratch.entries.empty()) {
-      std::vector<sim::Callback> tasks(router_->shard_count());
-      for (std::size_t s = 0; s < tasks.size(); ++s) {
-        if (scratch.shard_idx[s].empty()) continue;
-        tasks[s] = [&scratch, &trigger, s] {
-          for (const std::uint32_t e : scratch.shard_idx[s]) {
-            StageEntry& entry = scratch.entries[e];
-            entry.want = entry.listener->wants_trigger(trigger) ? 1 : 0;
-          }
-        };
-      }
-      router_->run_stage(std::move(tasks));
-    }
-    // Pass 2: deliver serially in registration order — the exact serial
-    // interleaving of pinned and unpinned listeners — skipping pinned
-    // listeners whose pre-screen declined (their on_trigger is by contract
-    // a no-op, so skipping changes no bytes). The cursor re-matches pass-1
-    // entries by interest index, so reentrant mutation between the passes
-    // (there is none today — run_stage tasks cannot touch the watcher)
-    // or during delivery cannot misalign the verdicts.
-    std::size_t cursor = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const ListenerId id = ids[i];
-      if (cursor < scratch.entries.size() && scratch.entries[cursor].index == i) {
-        const bool want = scratch.entries[cursor].want != 0;
-        ++cursor;
-        if (want) deliver(id, trigger);
-        continue;
-      }
-      if (!alive(id)) {
-        ++dead;
-        continue;
-      }
-      listeners_[static_cast<std::size_t>(id - 1)]->on_trigger(trigger);
+  const auto it = markets_.find(market);
+  if (it == markets_.end()) return;
+  ++stats_.price_steps;
+  const MarketIndex& index = it->second;
+  // Recipients: every kAlways watcher plus the kAbove filings whose edge
+  // lies below the new price, merged into watch order. The batch is
+  // private to this step, so handlers may mutate the index reentrantly.
+  std::vector<Entry> batch = std::move(spare_);
+  batch.assign(index.always.begin(), index.always.end());
+  for (auto e = index.above.begin(); e != index.above.end() && e->edge < new_price;
+       ++e) {
+    batch.push_back(Entry{e->seq, e->id});
+  }
+  if (!std::is_sorted(batch.begin(), batch.end(), by_seq)) {
+    std::sort(batch.begin(), batch.end(), by_seq);
+  }
+  if (!batch.empty()) {
+    Trigger trigger;
+    trigger.kind = TriggerKind::kPriceChange;
+    trigger.market = market;
+    trigger.price = new_price;
+    for (const Entry& e : batch) {
+      if (!alive(e.id)) continue;  // removed mid-dispatch
+      ++stats_.deliveries;
+      slots_[static_cast<std::size_t>(e.id - 1)].listener->on_trigger(trigger);
     }
   }
-  --dispatch_depth_;
-  // Sweep tombstones once they dominate, but never under a reentrant
-  // dispatch that may still be iterating this list.
-  if (dispatch_depth_ == 0 && ids.size() >= kSweepFloor && 2 * dead > ids.size()) {
-    std::erase_if(ids, [this](ListenerId id) { return !alive(id); });
-  }
+  batch.clear();
+  if (batch.capacity() > spare_.capacity()) spare_ = std::move(batch);
 }
 
 void MarketWatcher::deliver(ListenerId id, const Trigger& trigger) {
   if (!alive(id)) return;
-  listeners_[static_cast<std::size_t>(id - 1)]->on_trigger(trigger);
+  slots_[static_cast<std::size_t>(id - 1)].listener->on_trigger(trigger);
 }
 
 }  // namespace spothost::sched

@@ -14,44 +14,41 @@
 //    the delivery, not the schedule);
 //  * kRevocation   — the provider warned an instance the listener armed.
 //
-// Fan-out is batched for fleet scale: one price step is one pass over the
-// market's interest list — no per-service events, no snapshot allocation,
-// and since PR 9 no type-erased hops anywhere on the path: the provider
-// feed arrives through SpotMarket::PriceListener and leaves through
-// TriggerListener — two devirtualizable virtual calls per (tick, listener).
-// Listeners live in a dense vector indexed by ListenerId (ids are never
-// reused); removal tombstones the slot, dispatch iterates by index with the
-// list length captured up front, so listeners may (un)register and watch()
-// reentrantly mid-dispatch. Tombstoned ids are swept out of interest lists
-// only between dispatches. Listeners within one market fire in registration
-// order; identical registration order yields identical dispatch order,
-// every run.
+// Fan-out is indexed by interest (paper Sec. 3: the proactive scheduler is
+// edge-triggered, so most price steps are no-ops for most services). Each
+// listener declares one price Interest — kNone, kAbove(market, edge) or
+// kAlways — and the watcher files it in a per-market index: a list of the
+// kAlways watchers plus the kAbove entries ordered by edge. A step to price
+// p in market m collects m's kAlways list and every kAbove entry with
+// edge < p (an ordered range), so its cost scales with the listeners the
+// step can move, not with the listeners watching m. Listeners that never
+// declare stay kAlways, i.e. they see every step of every watched market.
 //
-// Sharded runs (simcore/sharded_sim.hpp): bind_shards() attaches a
-// ShardRouter and assign_shard() pins a listener to a shard lane. A price
-// step then runs in two passes: a parallel *stage* evaluates every pinned
-// listener's wants_trigger() on its own shard lane
-// (ShardRouter::run_stage), and the serial delivery pass invokes
-// on_trigger, in registration order, only where the stage said the trigger
-// matters (unpinned listeners are always delivered inline). A declined
-// trigger is by contract a complete no-op, so delivery order, state, and
-// trace bytes are identical to the serial engine, while the predicate
-// evaluation — the O(listeners x ticks) fleet-scale term — runs across
-// shard lanes. Hour ticks and revocations stay on the global clock in the
-// serial phase: both may talk to the provider, which is global-lane state.
-// register/watch/arm/assign calls are serial-phase operations — never call
-// them from a window callback or a stage task.
+// The provider feed arrives through SpotMarket::PriceListener and leaves
+// through TriggerListener — no type-erased hop on the path. Listeners live
+// in a dense vector indexed by ListenerId (ids are never reused); removal
+// tombstones the slot and unfiles it. A step's recipients are fixed when
+// the step begins and delivered from a private batch, so listeners may
+// (un)register, watch() and set_interest() reentrantly mid-dispatch: the
+// change applies from the next step (a removed listener is skipped at
+// once). Within one market, recipients fire in the order they started
+// watching it — same registrations, same dispatch order, every run.
+//
+// Sharded runs use this same serial path: price, hour and revocation
+// triggers are all delivered inline in the serial phase, on the global
+// clock. register/watch/arm/set_interest calls are serial-phase operations
+// — never call them from a parallel window callback.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
+#include <set>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cloud/provider.hpp"
 #include "simcore/clock.hpp"
-#include "simcore/shard_router.hpp"
 
 namespace spothost::sched {
 
@@ -73,9 +70,9 @@ class CrossingDetector {
   }
 
   /// Whether observe(above) WOULD report an edge, without recording the
-  /// observation — the side-effect-free form pre-screens (wants_trigger)
-  /// need. Note an unobserved detector treats `above == false` as steady
-  /// state, same as observe().
+  /// observation. would_edge(false) is "the last observation was above".
+  /// Note an unobserved detector treats `above == false` as steady state,
+  /// same as observe().
   [[nodiscard]] bool would_edge(bool above) const noexcept {
     return above_ ? *above_ != above : above;
   }
@@ -109,37 +106,58 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
     virtual ~TriggerListener() = default;
     /// Listener contract:
     ///  * Delivery is synchronous, inside the provider/simulation event that
-    ///    caused it — the callback observes the world exactly as the trigger
-    ///    left it, and may issue provider requests or (un)register listeners
-    ///    reentrantly (dispatch tolerates mid-pass mutation). Exception:
-    ///    listeners pinned to a shard receive price triggers at the head of
-    ///    the next parallel window instead (see the class comment).
-    ///  * Listeners sharing a market fire in registration (ListenerId)
-    ///    order; same registrations, same dispatch order, every run.
+    ///    caused it, in the serial phase (sharded runs included) — the
+    ///    callback observes the world exactly as the trigger left it, and
+    ///    may issue provider requests, (un)register listeners or change
+    ///    interests reentrantly (see the class comment for when such a
+    ///    change takes effect).
+    ///  * A kPriceChange trigger arrives only if the listener's declared
+    ///    Interest matches the step (set_interest). A listener that
+    ///    declares kNone or kAbove promises that every step it is not sent
+    ///    would have been a complete no-op: no state change, no provider
+    ///    call, no trace, no event scheduled. Hour and revocation triggers
+    ///    are always delivered.
+    ///  * Listeners sharing a market fire in the order they started
+    ///    watching it; same registrations, same dispatch order, every run.
     ///  * The listener object must stay valid until remove_listener
     ///    returns; after that no further triggers are delivered, including
     ///    to recipients the in-flight dispatch has not reached yet.
     virtual void on_trigger(const Trigger& trigger) = 0;
+  };
 
-    /// Pre-screen, consulted for shard-pinned listeners only: runs on the
-    /// listener's shard lane, in parallel with other shards, before the
-    /// serial delivery pass. Return false iff on_trigger(trigger) would be
-    /// a complete no-op (no state change, no provider call, no trace) so
-    /// delivery can skip the listener without changing any observable
-    /// behavior. Must be const-pure (a run_stage task: no scheduling, no
-    /// tracing) and read only shard-local state plus shared state frozen
-    /// for the tick, e.g. market prices. Returning true when on_trigger
-    /// would no-op is always safe — merely unparallel.
-    [[nodiscard]] virtual bool wants_trigger(const Trigger& trigger) const {
-      (void)trigger;
-      return true;
+  /// Which price steps can make a listener act. An edge may be
+  /// conservative (lower than the exact price where the listener starts to
+  /// act): a superset delivery only costs a wasted visit, a missed one is a
+  /// bug in the listener's declaration.
+  struct Interest {
+    enum class Kind : std::uint8_t {
+      kNone,    ///< no price step can make the listener act
+      kAbove,   ///< a step in `market` to a price > `edge`
+      kAlways,  ///< every step in every watched market (the default)
+    };
+    Kind kind = Kind::kAlways;
+    cloud::MarketId market{};  ///< kAbove only; must be a watched market
+    double edge = 0.0;         ///< kAbove only
+
+    [[nodiscard]] static Interest none() { return {Kind::kNone, {}, 0.0}; }
+    [[nodiscard]] static Interest always() { return {}; }
+    [[nodiscard]] static Interest above(cloud::MarketId market, double edge) {
+      return {Kind::kAbove, std::move(market), edge};
     }
+    bool operator==(const Interest&) const = default;
+  };
+
+  /// Deterministic work counters (machine-independent, so tests can gate on
+  /// them).
+  struct Stats {
+    std::uint64_t price_steps = 0;  ///< price steps in watched markets
+    std::uint64_t deliveries = 0;   ///< kPriceChange triggers delivered
   };
 
   MarketWatcher(sim::Clock& clock, cloud::CloudProvider& provider);
 
   /// Registers a listener (not owned; see TriggerListener::on_trigger for
-  /// the delivery contract).
+  /// the delivery contract). Its interest starts as Interest::always().
   ListenerId add_listener(TriggerListener* listener);
 
   /// Deregisters: no further triggers are delivered. Provider-side feed
@@ -152,14 +170,16 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   /// in a market, once, no matter how many listeners watch it afterwards.
   void watch(ListenerId id, const std::vector<cloud::MarketId>& markets);
 
+  /// Declares which price steps the listener can act on; replaces the
+  /// previous declaration. A kAbove interest in a market the listener does
+  /// not watch delivers nothing. O(log n) per change in the market's index;
+  /// re-declaring the current interest is a cheap no-op.
+  void set_interest(ListenerId id, Interest interest);
+
   /// Schedules a kHourBoundary trigger for `id` at absolute time `at`, on
-  /// the GLOBAL clock — also for shard-pinned listeners. Returns the event
-  /// handle — cancel through it. Hour checks may talk to the provider
-  /// (billing-hour boundaries are global-lane state), and holders cancel
-  /// these handles from serial-phase code paths; a handle minted on a shard
-  /// clock would make that cancel an illegal cross-lane operation under the
-  /// DESIGN.md §9.2 window rules (the sharded engine throws). Keeping the
-  /// tick global makes both sides legal by construction.
+  /// the global clock. Returns the event handle — cancel through it from
+  /// the serial phase (hour checks reach the provider, which is
+  /// global-lane state; see DESIGN.md §9.2).
   sim::EventHandle schedule_hour_tick(ListenerId id, sim::SimTime at);
 
   /// Routes the provider's revocation warning for `instance` to `id` as a
@@ -171,38 +191,58 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   /// instant itself (kWarningDropped) — still strictly before the instance
   /// is torn down, but possibly with `t_term == now`. Listeners must not
   /// assume the full grace window is left when the trigger fires.
-  /// Revocation triggers are always delivered synchronously in the serial
-  /// phase, even for shard-pinned listeners — a revocation reply talks to
-  /// the provider, which is global-lane state.
   void arm_revocation(ListenerId id, cloud::InstanceId instance);
-
-  /// Attaches the sharded engine's router. Call once, before any
-  /// assign_shard. Serial runs never call this and keep the inline path.
-  void bind_shards(sim::ShardRouter& router);
-
-  /// Pins `id` to `shard`: its price triggers are pre-screened by
-  /// wants_trigger() on that shard's lane before the serial delivery pass.
-  /// Requires bind_shards() first; `shard` must be < router.shard_count().
-  /// Pinning is a statement that the listener's wants_trigger touches only
-  /// shard-local and frozen-shared state.
-  void assign_shard(ListenerId id, std::size_t shard);
 
   /// Provider-side price-feed subscriptions this watcher holds — bounded by
   /// the market count, never by the listener count.
   [[nodiscard]] std::size_t provider_subscriptions() const noexcept {
-    return subscribed_.size();
+    return markets_.size();
   }
   /// Live (registered, not yet removed) listeners.
   [[nodiscard]] std::size_t listener_count() const noexcept {
     return live_listeners_;
   }
+  /// The listener's declared interest (Interest::none() once removed).
+  [[nodiscard]] Interest interest(ListenerId id) const {
+    return alive(id) ? slots_[static_cast<std::size_t>(id - 1)].interest
+                     : Interest::none();
+  }
+  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
  private:
-  inline static constexpr std::uint32_t kNoShard = 0xffffffffu;
+  /// One recipient in a market: the listener and the order it started
+  /// watching the market in (the dispatch order key).
+  struct Entry {
+    std::uint64_t seq;
+    ListenerId id;
+  };
+  struct AboveEntry {
+    double edge;
+    std::uint64_t seq;
+    ListenerId id;
+    bool operator<(const AboveEntry& o) const noexcept {
+      return edge != o.edge ? edge < o.edge : seq < o.seq;
+    }
+  };
+  /// The interest index of one market.
+  struct MarketIndex {
+    cloud::MarketId id;
+    std::vector<Entry> always;      ///< kAlways watchers, ascending seq
+    std::set<AboveEntry> above;     ///< kAbove filings, ascending edge
+  };
+  struct Watch {
+    MarketIndex* market;
+    std::uint64_t seq;
+  };
+  struct Slot {
+    TriggerListener* listener = nullptr;  ///< nullptr = removed
+    Interest interest;
+    std::vector<Watch> watched;
+  };
 
   [[nodiscard]] bool alive(ListenerId id) const noexcept {
-    return id != kInvalidListener && id <= listeners_.size() &&
-           listeners_[static_cast<std::size_t>(id - 1)] != nullptr;
+    return id != kInvalidListener && id <= slots_.size() &&
+           slots_[static_cast<std::size_t>(id - 1)].listener != nullptr;
   }
   /// cloud::SpotMarket::PriceListener — the one shared feed subscription.
   void on_price(const cloud::SpotMarket& market, double new_price) override {
@@ -210,53 +250,25 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   }
   void on_price_change(const cloud::MarketId& market, double new_price);
   void deliver(ListenerId id, const Trigger& trigger);
+  /// Adds (file) or removes (unfile) one watch of `slot` to or from its
+  /// market's index, per the slot's current interest.
+  static void file(ListenerId id, const Slot& slot, const Watch& watch);
+  static void unfile(ListenerId id, const Slot& slot, const Watch& watch);
 
   sim::Clock& clock_;
   cloud::CloudProvider& provider_;
-  /// Dense listener table indexed by id-1; a removed listener leaves a
-  /// null slot (ids are never reused, so no generation counter is needed).
-  std::vector<TriggerListener*> listeners_;
-  /// Shard pin per listener slot, kNoShard = inline delivery. Parallel to
-  /// listeners_. Only read concurrently (window-side deliver); mutated in
-  /// serial phase only.
-  std::vector<std::uint32_t> shard_of_;
+  /// Dense listener table indexed by id-1 (ids are never reused, so no
+  /// generation counter is needed).
+  std::vector<Slot> slots_;
   std::size_t live_listeners_ = 0;
-  /// Per-market listener ids, in registration order. May contain tombstoned
-  /// ids between sweeps; dispatch skips them.
-  std::unordered_map<cloud::MarketId, std::vector<ListenerId>, cloud::MarketIdHash>
-      interest_;
-  std::unordered_map<cloud::MarketId, cloud::SpotMarket::SubscriptionId,
-                     cloud::MarketIdHash>
-      subscribed_;
-  /// Depth of in-flight price dispatches; interest lists are swept only at
-  /// depth zero so index-based iteration never sees entries shift.
-  int dispatch_depth_ = 0;
-  /// Sharded-run routing (nullptr in serial runs — the common case).
-  sim::ShardRouter* router_ = nullptr;
-  /// One pinned listener collected by the pre-pass of a sharded price
-  /// dispatch. `index` is the listener's interest-list position, so the
-  /// delivery pass can re-walk the list in registration order and match
-  /// entries even if a reentrant handler mutates listener state between
-  /// collection and delivery. `want` is written by exactly one stage task
-  /// (the entry's shard) — entries are disjoint across shards, so the
-  /// parallel stage is race-free.
-  struct StageEntry {
-    std::size_t index;
-    TriggerListener* listener;
-    std::uint8_t want;
-  };
-  /// Stage scratch, indexed by dispatch depth: a listener's on_trigger may
-  /// reentrantly dispatch another price change, and the nested pass must
-  /// not touch the outer pass's entries. `shard_idx[s]` holds indices into
-  /// `entries` for shard s's stage task.
-  struct StageScratch {
-    std::vector<StageEntry> entries;
-    std::vector<std::vector<std::uint32_t>> shard_idx;
-  };
-  /// Deque, not vector: a reentrant dispatch grows this by one depth while
-  /// the outer pass still holds a reference to its own scratch — deque
-  /// growth leaves existing elements' addresses stable.
-  std::deque<StageScratch> stage_;
+  /// One index per subscribed market; node-based, so Watch pointers into
+  /// it stay valid.
+  std::unordered_map<cloud::MarketId, MarketIndex, cloud::MarketIdHash> markets_;
+  std::uint64_t next_seq_ = 0;
+  /// Recipient buffer reused across steps; a reentrant dispatch finds it
+  /// taken (moved out) and allocates its own.
+  std::vector<Entry> spare_;
+  Stats stats_;
 };
 
 }  // namespace spothost::sched

@@ -1,6 +1,7 @@
 #include "sched/scheduler.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -17,6 +18,9 @@ namespace {
 
 constexpr double kLeadSafetyFactor = 1.3;  // allocation-latency headroom
 constexpr SimTime kLeadSlack = 60 * sim::kSecond;
+// Relative margin of a below-threshold interest edge: far above the few ulps
+// effective_spot_price can round by, far below any real price step.
+constexpr double kEdgeSlack = 1e-9;
 
 }  // namespace
 
@@ -86,6 +90,7 @@ CloudScheduler::CloudScheduler(sim::Clock& clock,
                                               host, config_, spec_, rng_);
   listener_ = watcher_.add_listener(
       static_cast<MarketWatcher::TriggerListener*>(this));
+  refresh_interest();
 }
 
 CloudScheduler::~CloudScheduler() {
@@ -97,7 +102,6 @@ CloudScheduler::~CloudScheduler() {
 void CloudScheduler::pin_to_shard(sim::ShardRouter& router, std::size_t shard) {
   lane_clock_ = &router.shard_clock(shard);
   engine_->bind_lane(*lane_clock_);
-  watcher_.assign_shard(listener_, shard);
 }
 
 void CloudScheduler::set_owner_tag(std::uint64_t owner) {
@@ -169,6 +173,7 @@ void CloudScheduler::start() {
   }
   watcher_.watch(listener_, markets);
   acquire_initial();
+  refresh_interest();
 }
 
 void CloudScheduler::on_trigger(const MarketWatcher::Trigger& trigger) {
@@ -184,41 +189,39 @@ void CloudScheduler::on_trigger(const MarketWatcher::Trigger& trigger) {
       on_revocation_warning(trigger.instance, trigger.t_term);
       break;
   }
+  refresh_interest();
 }
 
-bool CloudScheduler::wants_trigger(const MarketWatcher::Trigger& trigger) const {
-  // Mirror of on_price_change, early return by early return: `false` here
-  // asserts the delivery would be a complete no-op. Hour and revocation
-  // triggers always carry work (and are never staged — see the watcher).
-  if (trigger.kind != MarketWatcher::TriggerKind::kPriceChange) return true;
-  if (engine_->forced_active()) return false;
-  if (!config_.on_demand_allowed() &&
-      (state_ == State::kDown || state_ == State::kAcquiring)) {
-    // pure_spot_reacquire: acts only when no request is pending and the
-    // home market has dipped back to the standing bid (bid_for is
-    // const-pure by the BidStrategy contract).
-    if (pending_acquire_ != cloud::kInvalidInstance) return false;
-    const cloud::MarketId& home = config_.home_market;
-    return provider_.price(home) <=
-           bidding_->bid_for(provider_, config_, home, clock_.now());
+MarketWatcher::Interest CloudScheduler::price_interest() const {
+  using Interest = MarketWatcher::Interest;
+  // Case by case, the early returns of on_price_change.
+  if (engine_->forced_active()) return Interest::none();
+  if (!config_.on_demand_allowed()) {
+    // Pure spot: reacquisition re-checks the home price on every step.
+    return state_ == State::kDown || state_ == State::kAcquiring ? Interest::always()
+                                                                 : Interest::none();
   }
-  if (state_ != State::kOnSpot || !holding_ || trigger.market != holding_->market) {
-    return false;
+  if (state_ != State::kOnSpot || !holding_ || !bidding_->plans_migrations(config_)) {
+    return Interest::none();
   }
-  if (!bidding_->plans_migrations(config_) || !config_.on_demand_allowed()) {
-    return false;
+  // Above the threshold (a drop is a kDown crossing), waiting on a planned
+  // begin, or before the transfer of a cancellable planned move: any step
+  // in the held market may act.
+  if (crossing_.would_edge(false) || planned_begin_event_.valid() ||
+      (engine_->voluntary_class() == virt::MigrationClass::kPlanned &&
+       !engine_->transfer_started() && config_.cancel_planned_on_price_drop)) {
+    return Interest::above(holding_->market, -std::numeric_limits<double>::infinity());
   }
-  const double eff =
-      effective_spot_price(provider_, trigger.market, units_needed());
-  const bool above = eff > od_threshold();
-  if (above) return true;                      // plans (or re-checks) a move
-  if (crossing_.would_edge(above)) return true;  // kDown crossing trace
-  if (planned_begin_event_.valid()) return true; // cancel pending planned
-  if (engine_->voluntary_class() == virt::MigrationClass::kPlanned &&
-      !engine_->transfer_started() && config_.cancel_planned_on_price_drop) {
-    return true;  // abandon the in-flight planned move
-  }
-  return false;
+  // Steady below the threshold: only a step taking the effective price
+  // above p_on acts. The slack keeps the edge below the exact crossing
+  // price whatever the rounding of effective_spot_price.
+  const double capacity = cloud::type_info(holding_->market.size).capacity_units;
+  return Interest::above(holding_->market, od_threshold() * capacity / units_needed() *
+                                               (1.0 - kEdgeSlack));
+}
+
+void CloudScheduler::refresh_interest() {
+  watcher_.set_interest(listener_, price_interest());
 }
 
 void CloudScheduler::acquire_initial() {
@@ -343,6 +346,7 @@ void CloudScheduler::adopt(InstanceId instance, const MarketId& market,
   SPOTHOST_LOG(sim::LogLevel::kInfo, clock_.now(),
                "adopt " << market.str() << (on_demand ? " (on-demand)" : " (spot)")
                         << " instance " << instance);
+  refresh_interest();
 }
 
 // ---------------------------------------------------------------------------
@@ -410,6 +414,7 @@ void CloudScheduler::maybe_schedule_planned() {
     const double eff =
         effective_spot_price(provider_, holding_->market, units_needed());
     if (eff > od_threshold()) begin_planned();
+    refresh_interest();
   });
 }
 
@@ -433,15 +438,15 @@ void CloudScheduler::begin_reverse(const Placement& target) {
 void CloudScheduler::on_voluntary_dest_failed(virt::MigrationClass cls) {
   if (cls == virt::MigrationClass::kReverse) {
     schedule_hour_check();  // try again next billing hour
-    return;
-  }
-  // Planned: the cheaper market evaporated (or the destination was revoked
-  // before adoption); fall back through placement if the trigger still holds.
-  if (state_ == State::kOnSpot && holding_ && !engine_->forced_active() &&
-      effective_spot_price(provider_, holding_->market, units_needed()) >
-          od_threshold()) {
+  } else if (state_ == State::kOnSpot && holding_ && !engine_->forced_active() &&
+             effective_spot_price(provider_, holding_->market, units_needed()) >
+                 od_threshold()) {
+    // Planned: the cheaper market evaporated (or the destination was revoked
+    // before adoption); fall back through placement if the trigger still
+    // holds.
     begin_planned();
   }
+  refresh_interest();
 }
 
 // ---------------------------------------------------------------------------
@@ -508,6 +513,7 @@ void CloudScheduler::on_revocation_warning(InstanceId instance, SimTime t_term) 
       holding_.reset();
       state_ = State::kDown;
       pure_spot_reacquire();
+      refresh_interest();
     });
     return;
   }
@@ -520,20 +526,28 @@ void CloudScheduler::on_revocation_warning(InstanceId instance, SimTime t_term) 
   }
 
   engine_->begin_forced(t_term, holding_->id, holding_->market);
+  refresh_interest();
 }
 
 // ---------------------------------------------------------------------------
 // MigrationHost notifications
 // ---------------------------------------------------------------------------
 
-void CloudScheduler::on_forced_begin() { cancel_scheduled_planned(); }
+void CloudScheduler::on_forced_begin() {
+  cancel_scheduled_planned();
+  refresh_interest();
+}
 
 void CloudScheduler::on_source_lost() {
   holding_.reset();
   state_ = State::kDown;
+  refresh_interest();
 }
 
-void CloudScheduler::on_source_released() { hour_check_event_.cancel(); }
+void CloudScheduler::on_source_released() {
+  hour_check_event_.cancel();
+  refresh_interest();
+}
 
 // ---------------------------------------------------------------------------
 // Pure-spot baseline

@@ -41,6 +41,7 @@
 #include "sched/scheduler_config.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/clock.hpp"
+#include "simcore/shard_router.hpp"
 #include "virt/mechanisms.hpp"
 #include "workload/endpoint.hpp"
 
@@ -95,15 +96,12 @@ class CloudScheduler : private MigrationHost,
   /// override) — the basis for effective-price packing and attribution.
   [[nodiscard]] int units_needed() const;
 
-  /// Pins this scheduler's shard-eligible work to `shard` of `router`:
-  /// price triggers are pre-screened by wants_trigger() on that lane
-  /// (MarketWatcher::assign_shard) and the service-local timers — outage
-  /// begin at a revocation deadline, degraded-mode ends — move to the
-  /// shard's clock so they execute inside parallel windows. Everything
-  /// that touches the provider (requests, adoption, retries, hour checks)
-  /// stays on the global clock; see DESIGN.md §9.2 for the full table.
-  /// Serial-phase setup only; the watcher must be bound to the same router
-  /// first (FleetScheduler does both).
+  /// Pins this scheduler's service-local timers — outage begin at a
+  /// revocation deadline, degraded-mode ends — to `shard` of `router`, so
+  /// they execute inside parallel windows. Triggers and everything that
+  /// touches the provider (requests, adoption, retries, hour checks) stay
+  /// in the serial phase on the global clock; see DESIGN.md §9.2 for the
+  /// full table. Serial-phase setup only.
   void pin_to_shard(sim::ShardRouter& router, std::size_t shard);
 
   /// The clock shard-eligible timers run on: the pinned shard's clock, or
@@ -131,13 +129,14 @@ class CloudScheduler : private MigrationHost,
   /// MarketWatcher::TriggerListener — direct interface delivery; no
   /// per-scheduler std::function on the price-tick path.
   void on_trigger(const MarketWatcher::Trigger& trigger) override;
-  /// Shard-lane pre-screen: true iff on_trigger(trigger) would do work.
-  /// Mirrors on_price_change's no-op enumeration exactly — every early
-  /// return there must map to `false` here (over-reporting true is safe,
-  /// merely unparallel). Const-pure: reads scheduler state and frozen
-  /// market prices only.
-  [[nodiscard]] bool wants_trigger(const MarketWatcher::Trigger& trigger) const override;
   void on_price_change(const cloud::MarketId& market, double new_price);
+  /// The price steps on_price_change can act on, as a function of the
+  /// current state alone (see MarketWatcher::Interest).
+  [[nodiscard]] MarketWatcher::Interest price_interest() const;
+  /// Re-declares price_interest() to the watcher. Called at the end of
+  /// every entry point that can change the state it reads: triggers,
+  /// adoption, engine notifications and the scheduler's own timers.
+  void refresh_interest();
   void on_hour_check();
 
   // --- acquisition ----------------------------------------------------

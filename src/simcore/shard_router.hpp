@@ -2,7 +2,7 @@
 //
 // The sharded engine (simcore/sharded_sim.hpp) partitions per-service work
 // across K shard lanes that advance in parallel between market-event
-// barriers. Components above simcore (MarketWatcher, fleets) need exactly
+// barriers. Components above simcore (schedulers, fleets) need exactly
 // three things from it: how many shards exist, a per-shard sim::Clock to
 // schedule lane-local events on, and a mailbox post to hand a batch of work
 // to a shard at a barrier. ShardRouter is that contract — the sharded
@@ -24,7 +24,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "simcore/clock.hpp"
 
@@ -42,22 +41,6 @@ class ShardRouter {
 
   /// Appends `cb` to shard `k`'s mailbox (deferred delivery, see above).
   virtual void post(std::size_t shard, Callback cb) = 0;
-
-  /// Runs `tasks[k]` on shard k's execution context, all shards in
-  /// parallel, and returns when every task has finished (tasks.size() must
-  /// equal shard_count(); a null Callback skips that shard). Serial-phase
-  /// only — calling from inside a window throws.
-  ///
-  /// A stage is the read-only complement of post(): tasks are PURE
-  /// evaluators that may read their own shard's state plus shared state
-  /// frozen for the current timestamp (market prices between steps, const
-  /// config), and write only shard-private scratch handed to them by the
-  /// caller. They must not schedule, cancel, post, or trace — the sharded
-  /// engine throws std::logic_error on any of these, so a run either has
-  /// deterministic stages or fails loudly. The caller applies the scratch
-  /// results serially after the stage returns, preserving bit-identity
-  /// with a serial engine that never staged at all.
-  virtual void run_stage(std::vector<Callback> tasks) = 0;
 };
 
 /// Deterministic service-id -> shard partition, stable across runs,

@@ -32,17 +32,6 @@ struct WindowLaneScope {
   ~WindowLaneScope() { tl_window_lane = nullptr; }
 };
 
-// True while THIS thread runs a run_stage() task. Stage tasks are pure
-// evaluators (see shard_router.hpp): unlike window callbacks they may not
-// even schedule or cancel on their own lane — a stage has no dispatch log
-// entry to attribute children to, and vgs assignment is serial-phase state.
-thread_local bool tl_stage_task = false;
-
-struct StageTaskScope {
-  StageTaskScope() { tl_stage_task = true; }
-  ~StageTaskScope() { tl_stage_task = false; }
-};
-
 constexpr SimTime kForever = std::numeric_limits<SimTime>::max();
 
 }  // namespace
@@ -198,75 +187,6 @@ void ShardedSimulation::post(std::size_t shard, Callback cb) {
       Lane::Mail{lanes_[0]->now_t, next_vgs_++, std::move(cb)});
 }
 
-void ShardedSimulation::run_stage(std::vector<Callback> tasks) {
-  if (in_window()) {
-    throw std::logic_error(
-        "ShardedSimulation::run_stage: stages are serial-phase only "
-        "(run from a barrier, not from a window callback)");
-  }
-  if (tasks.size() != shard_count()) {
-    throw std::invalid_argument(
-        "ShardedSimulation::run_stage: one task slot per shard required");
-  }
-  active_.clear();
-  for (std::size_t k = 0; k < tasks.size(); ++k) {
-    if (!tasks[k]) continue;
-    Lane& lane = *lanes_[1 + k];
-    // Lanes lag the global clock between their own events; align so a stage
-    // task reading its shard clock sees the barrier time being evaluated.
-    lane.now_t = std::max(lane.now_t, lanes_[0]->now_t);
-    lane.sink.set_passthrough(nullptr);  // catch illegal traces via buffered()
-    active_.push_back(&lane);
-  }
-  if (active_.empty()) return;
-  ++stats_.stages;
-  const auto t0 = std::chrono::steady_clock::now();
-  auto run_task = [](Lane& lane, Callback& task) {
-    WindowLaneScope scope(&lane);
-    StageTaskScope stage;
-    const auto s0 = std::chrono::steady_clock::now();
-    task();
-    lane.busy_seconds +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - s0)
-            .count();
-  };
-  // Same phase-flag discipline as run_windows: set even for one active lane
-  // so stage legality does not depend on how many shards participate.
-  in_window_.store(true, std::memory_order_relaxed);
-  try {
-    if (active_.size() == 1) {
-      Lane& lane = *active_.front();
-      run_task(lane, tasks[lane.index - 1]);
-    } else {
-      std::vector<std::function<void()>> batch;
-      batch.reserve(active_.size());
-      for (Lane* lane : active_) {
-        Callback& task = tasks[lane->index - 1];
-        batch.emplace_back([&run_task, lane, &task] { run_task(*lane, task); });
-      }
-      pool_->run_batch(batch);
-    }
-  } catch (...) {
-    in_window_.store(false, std::memory_order_relaxed);
-    throw;  // a throwing stage task leaves scratch state torn; fail the run
-  }
-  in_window_.store(false, std::memory_order_relaxed);
-  stats_.window_wall_seconds +=
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  for (Lane* lane : active_) {
-    const bool traced = lane->sink.buffered() != 0;
-    lane->sink.clear_buffered();
-    lane->sink.set_passthrough(downstream_);
-    if (traced) {
-      throw std::logic_error(
-          "ShardedSimulation::run_stage: a stage task emitted traces — "
-          "stages are pure evaluation and have no merge slot");
-    }
-  }
-  active_.clear();
-}
-
 ShardedSimulation::Stats ShardedSimulation::stats() const noexcept {
   Stats s = stats_;
   for (const auto& lane : lanes_) s.lane_busy_seconds += lane->busy_seconds;
@@ -274,11 +194,6 @@ ShardedSimulation::Stats ShardedSimulation::stats() const noexcept {
 }
 
 EventHandle ShardedSimulation::lane_at(Lane& lane, SimTime when, Callback cb) {
-  if (tl_stage_task) {
-    throw std::logic_error(
-        "ShardedSimulation: scheduling from a run_stage task (stages are "
-        "pure evaluation — schedule from the serial phase afterwards)");
-  }
   if (when < lane.now_t) {
     throw std::invalid_argument("ShardedSimulation: scheduling in the past");
   }
@@ -302,11 +217,6 @@ EventHandle ShardedSimulation::lane_at(Lane& lane, SimTime when, Callback cb) {
 }
 
 bool ShardedSimulation::lane_cancel(Lane& lane, EventId id) {
-  if (tl_stage_task) {
-    throw std::logic_error(
-        "ShardedSimulation: cancel from a run_stage task (stages are pure "
-        "evaluation — cancel from the serial phase afterwards)");
-  }
   if (in_window() && tl_window_lane != &lane) {
     throw std::logic_error(
         "ShardedSimulation: cross-shard cancel from a parallel window");

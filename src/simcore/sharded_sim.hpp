@@ -98,7 +98,6 @@ class ShardedSimulation final : public Engine, public ShardRouter {
   [[nodiscard]] std::size_t shard_count() const noexcept override;
   [[nodiscard]] Clock& shard_clock(std::size_t shard) override;
   void post(std::size_t shard, Callback cb) override;
-  void run_stage(std::vector<Callback> tasks) override;
 
   /// Execution counters for the bench harness (real time, not sim state —
   /// never feeds back into event order).
@@ -106,7 +105,6 @@ class ShardedSimulation final : public Engine, public ShardRouter {
     std::uint64_t windows = 0;        ///< parallel windows run
     std::uint64_t barrier_steps = 0;  ///< serially executed timestamps
     std::uint64_t merged = 0;         ///< window dispatches merged
-    std::uint64_t stages = 0;         ///< parallel run_stage() evaluations
     double window_wall_seconds = 0.0; ///< driver wall time inside windows
     double lane_busy_seconds = 0.0;   ///< summed per-lane work in windows
     /// Fraction of window capacity (K lanes x wall) spent waiting at the

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -181,55 +182,17 @@ TEST_F(MarketWatcherTest, ArmedRevocationRoutesWarningToListener) {
   EXPECT_EQ(warnings[0].t_term, kHour + provider_->grace_period());
 }
 
-// Inline ShardRouter double: run_stage executes tasks synchronously on the
-// calling thread (the real engine's bit-identity makes that equivalent),
-// recording how many stages ran and how many shards each staged.
-struct FakeRouter final : sim::ShardRouter {
-  sim::Clock& clock;
-  std::size_t shards;
-  int stages = 0;
-  std::vector<std::size_t> staged_shards;  ///< non-null task count per stage
-  FakeRouter(sim::Clock& c, std::size_t k) : clock(c), shards(k) {}
-  [[nodiscard]] std::size_t shard_count() const noexcept override {
-    return shards;
-  }
-  [[nodiscard]] sim::Clock& shard_clock(std::size_t) override { return clock; }
-  void post(std::size_t, sim::Callback cb) override { cb(); }
-  void run_stage(std::vector<sim::Callback> tasks) override {
-    ++stages;
-    std::size_t active = 0;
-    for (auto& task : tasks) {
-      if (!task) continue;
-      ++active;
-      task();
-    }
-    staged_shards.push_back(active);
-  }
-};
-
-// FnListener with a controllable pre-screen verdict, counting how many
-// times the watcher's stage consulted it.
-struct ScreenedListener final : MarketWatcher::TriggerListener {
-  std::function<void(const MarketWatcher::Trigger&)> fn;
-  bool want = true;
-  mutable int screened = 0;
-  explicit ScreenedListener(std::function<void(const MarketWatcher::Trigger&)> f)
-      : fn(std::move(f)) {}
-  void on_trigger(const MarketWatcher::Trigger& t) override { fn(t); }
-  [[nodiscard]] bool wants_trigger(const MarketWatcher::Trigger&) const override {
-    ++screened;
-    return want;
-  }
-};
-
-struct ShardedWatcherTest : ::testing::Test {
+// The interest index, driven through push-fed markets so each test controls
+// every price step synchronously.
+struct InterestIndexTest : ::testing::Test {
   sim::RngFactory rng{7};
   sim::Simulation sim;
   cloud::CloudProvider provider{sim, rng};
   const MarketId pa{"push-a", InstanceSize::kSmall};
   const MarketId pb{"push-b", InstanceSize::kSmall};
-  FakeRouter router{sim, 2};
   std::unique_ptr<MarketWatcher> watcher;
+  std::vector<std::unique_ptr<FnListener>> owned;
+  std::vector<int> order;  ///< tags of the listeners delivered to, in order
 
   void SetUp() override {
     provider.add_live_market(pa, 0.06);
@@ -238,93 +201,164 @@ struct ShardedWatcherTest : ::testing::Test {
     provider.market(pa).prime(0.02);
     provider.market(pb).prime(0.05);
     watcher = std::make_unique<MarketWatcher>(sim, provider);
-    watcher->bind_shards(router);
+  }
+
+  /// A listener that records `tag` on every price trigger, then runs `also`.
+  MarketWatcher::ListenerId tagged(int tag, std::function<void()> also = {}) {
+    owned.push_back(std::make_unique<FnListener>(
+        [this, tag, also = std::move(also)](const MarketWatcher::Trigger& t) {
+          if (t.kind != MarketWatcher::TriggerKind::kPriceChange) return;
+          order.push_back(tag);
+          if (also) also();
+        }));
+    return watcher->add_listener(owned.back().get());
+  }
+
+  std::vector<int> step(const MarketId& market, double price) {
+    order.clear();
+    provider.market(market).push_price(price);
+    return order;
   }
 };
 
-TEST_F(ShardedWatcherTest, PrescreenSkipsDecliningPinnedListeners) {
-  // The stage evaluates every pinned listener's wants_trigger; delivery then
-  // skips decliners and keeps strict registration order across the pinned /
-  // unpinned interleaving — the property fleet byte-identity keys on.
-  std::vector<int> order;
-  ScreenedListener decliner([&](const MarketWatcher::Trigger&) {
-    order.push_back(1);
-  });
-  decliner.want = false;
-  FnListener unpinned([&](const MarketWatcher::Trigger&) { order.push_back(2); });
-  ScreenedListener accepter([&](const MarketWatcher::Trigger&) {
-    order.push_back(3);
-  });
-  const auto id_d = watcher->add_listener(&decliner);
-  const auto id_u = watcher->add_listener(&unpinned);
-  const auto id_a = watcher->add_listener(&accepter);
-  watcher->watch(id_d, {pa});
-  watcher->watch(id_u, {pa});
-  watcher->watch(id_a, {pa});
-  watcher->assign_shard(id_d, 0);
-  watcher->assign_shard(id_a, 1);
+using Interest = MarketWatcher::Interest;
 
-  provider.market(pa).push_price(0.03);
+TEST_F(InterestIndexTest, DeliversAlwaysAndAboveHitsInWatchOrder) {
+  // kAlways and kAbove recipients interleave in watch order, whatever the
+  // edges; kNone listeners and kAbove listeners above the price are skipped.
+  const auto l1 = tagged(1);  // kAlways (the default)
+  const auto l2 = tagged(2);
+  const auto l3 = tagged(3);
+  const auto l4 = tagged(4);
+  const auto l5 = tagged(5);
+  const auto l6 = tagged(6);
+  for (const auto id : {l1, l2, l3, l4, l5}) watcher->watch(id, {pa});
+  watcher->watch(l6, {pb, pa});
+  watcher->set_interest(l2, Interest::above(pa, 0.05));
+  watcher->set_interest(l3, Interest::above(pa, 0.01));
+  watcher->set_interest(l4, Interest::none());
+  watcher->set_interest(l6, Interest::above(pb, 0.0));  // other market only
 
-  EXPECT_EQ(decliner.screened, 1);
-  EXPECT_EQ(accepter.screened, 1);
-  EXPECT_EQ(order, (std::vector<int>{2, 3}));  // decliner skipped
-  EXPECT_EQ(router.stages, 1);
-  ASSERT_EQ(router.staged_shards.size(), 1u);
-  EXPECT_EQ(router.staged_shards[0], 2u);  // one task per populated shard
+  EXPECT_EQ(step(pa, 0.03), (std::vector<int>{1, 3, 5}));
+  EXPECT_EQ(step(pa, 0.06), (std::vector<int>{1, 2, 3, 5}));
+  EXPECT_EQ(step(pb, 0.04), (std::vector<int>{6}));
+  // Watch order, not id order, decides within a market.
+  const auto l7 = tagged(7);
+  watcher->watch(l7, {pb});
+  watcher->watch(l1, {pb});
+  EXPECT_EQ(step(pb, 0.05), (std::vector<int>{6, 7, 1}));
 }
 
-TEST_F(ShardedWatcherTest, TickWithoutPinnedListenersStagesNothing) {
-  FnListener unpinned([](const MarketWatcher::Trigger&) {});
-  const auto id = watcher->add_listener(&unpinned);
+TEST_F(InterestIndexTest, EdgeIsStrict) {
+  const auto id = tagged(1);
   watcher->watch(id, {pa});
-  provider.market(pa).push_price(0.03);
-  EXPECT_EQ(router.stages, 0);
+  watcher->set_interest(id, Interest::above(pa, 0.03));
+  EXPECT_TRUE(step(pa, 0.03).empty());  // p1 == edge: not above
+  EXPECT_EQ(step(pa, std::nextafter(0.03, 1.0)), (std::vector<int>{1}));
+  EXPECT_TRUE(step(pa, 0.01).empty());
 }
 
-TEST_F(ShardedWatcherTest, ReentrantDispatchKeepsStageScratchIntact) {
+TEST_F(InterestIndexTest, StepWithoutInterestedListenersDeliversNothing) {
+  const auto id = tagged(1);
+  watcher->watch(id, {pa, pb});
+  watcher->set_interest(id, Interest::none());
+  EXPECT_TRUE(step(pa, 0.5).empty());
+  // A kAbove interest in a market the listener does not watch is inert.
+  const auto other = tagged(2);
+  watcher->watch(other, {pb});
+  watcher->set_interest(other, Interest::above(pa, 0.0));
+  EXPECT_TRUE(step(pa, 0.6).empty());
+  EXPECT_EQ(watcher->stats().price_steps, 2u);
+  EXPECT_EQ(watcher->stats().deliveries, 0u);
+  // Back to kAlways: delivered again, and counted.
+  watcher->set_interest(id, Interest::always());
+  EXPECT_EQ(step(pb, 0.07), (std::vector<int>{1}));
+  EXPECT_EQ(watcher->stats().price_steps, 3u);
+  EXPECT_EQ(watcher->stats().deliveries, 1u);
+}
+
+TEST_F(InterestIndexTest, InterestChangedMidDispatchAppliesFromNextStep) {
+  // A step's recipients are fixed when it begins. A listener that gains
+  // interest mid-dispatch is not added to the step; one that loses it is
+  // still delivered (a superset delivery is harmless by contract).
+  MarketWatcher::ListenerId gains = 0;
+  MarketWatcher::ListenerId loses = 0;
+  MarketWatcher::ListenerId self = 0;
+  self = tagged(1, [&] {
+    watcher->set_interest(gains, Interest::always());
+    watcher->set_interest(loses, Interest::none());
+    watcher->set_interest(self, Interest::above(pa, 0.5));
+  });
+  gains = tagged(2);
+  loses = tagged(3);
+  for (const auto id : {self, gains, loses}) watcher->watch(id, {pa});
+  watcher->set_interest(gains, Interest::none());
+
+  EXPECT_EQ(step(pa, 0.03), (std::vector<int>{1, 3}));
+  EXPECT_EQ(step(pa, 0.04), (std::vector<int>{2}));
+  EXPECT_EQ(step(pa, 0.51), (std::vector<int>{1, 2}));
+}
+
+TEST_F(InterestIndexTest, TombstonedListenersAreSkippedAndInert) {
+  MarketWatcher::ListenerId victim = 0;
+  const auto killer = tagged(1, [&] { watcher->remove_listener(victim); });
+  victim = tagged(2);
+  const auto bystander = tagged(3);
+  for (const auto id : {killer, victim, bystander}) watcher->watch(id, {pa});
+  watcher->set_interest(victim, Interest::above(pa, 0.0));
+
+  // Removed mid-dispatch, after the step collected it: still skipped.
+  EXPECT_EQ(step(pa, 0.03), (std::vector<int>{1, 3}));
+  EXPECT_EQ(watcher->listener_count(), 2u);
+  // A tombstoned id accepts no new watch or interest, and ids are never
+  // reused by later registrations.
+  watcher->watch(victim, {pb});
+  watcher->set_interest(victim, Interest::always());
+  const auto late = tagged(4);
+  EXPECT_GT(late, victim);
+  watcher->watch(late, {pa});
+  EXPECT_EQ(step(pa, 0.04), (std::vector<int>{1, 3, 4}));
+  EXPECT_TRUE(step(pb, 0.01).empty());
+}
+
+TEST_F(InterestIndexTest, ReentrantDispatchKeepsOuterBatchIntact) {
   // A listener's on_trigger may reentrantly dispatch another price change.
-  // The nested pass runs its own stage + delivery without moving or
-  // clearing the outer pass's scratch: every pinned listener receives
-  // exactly its own market's trigger, pre-screened entries after the
-  // reentry point included.
+  // The nested step collects and delivers its own batch without touching
+  // the outer one: every listener receives exactly its own market's
+  // trigger, recipients after the reentry point included.
   std::vector<std::pair<MarketId, double>> seen_a, seen_b, seen_c;
-  ScreenedListener pinned_a([&](const MarketWatcher::Trigger& t) {
+  FnListener listener_a([&](const MarketWatcher::Trigger& t) {
     seen_a.emplace_back(t.market, t.price);
   });
   FnListener reentrant([&](const MarketWatcher::Trigger&) {
-    // Mid-delivery over pa's interest list (pinned_a delivered, pinned_c
-    // screened but not yet delivered): a synchronous price step on pb
-    // nests a second stage + dispatch.
     provider.market(pb).push_price(0.01);
   });
-  ScreenedListener pinned_b([&](const MarketWatcher::Trigger& t) {
+  FnListener listener_b([&](const MarketWatcher::Trigger& t) {
     seen_b.emplace_back(t.market, t.price);
   });
-  ScreenedListener pinned_c([&](const MarketWatcher::Trigger& t) {
+  FnListener listener_c([&](const MarketWatcher::Trigger& t) {
     seen_c.emplace_back(t.market, t.price);
   });
-  const auto id_a = watcher->add_listener(&pinned_a);
+  const auto id_a = watcher->add_listener(&listener_a);
   const auto id_r = watcher->add_listener(&reentrant);
-  const auto id_b = watcher->add_listener(&pinned_b);
-  const auto id_c = watcher->add_listener(&pinned_c);
+  const auto id_b = watcher->add_listener(&listener_b);
+  const auto id_c = watcher->add_listener(&listener_c);
   watcher->watch(id_a, {pa});
   watcher->watch(id_r, {pa});
   watcher->watch(id_c, {pa});
   watcher->watch(id_b, {pb});
-  watcher->assign_shard(id_a, 0);
-  watcher->assign_shard(id_b, 0);
-  watcher->assign_shard(id_c, 1);
+  watcher->set_interest(id_c, Interest::above(pa, 0.0));
 
   provider.market(pa).push_price(0.03);
 
-  EXPECT_EQ(router.stages, 2);  // outer pa stage + nested pb stage
   ASSERT_EQ(seen_a.size(), 1u);
   EXPECT_EQ(seen_a[0], (std::pair{pa, 0.03}));
   ASSERT_EQ(seen_b.size(), 1u);
   EXPECT_EQ(seen_b[0], (std::pair{pb, 0.01}));
   ASSERT_EQ(seen_c.size(), 1u);
   EXPECT_EQ(seen_c[0], (std::pair{pa, 0.03}));
+  EXPECT_EQ(watcher->stats().price_steps, 2u);
+  EXPECT_EQ(watcher->stats().deliveries, 4u);
 }
 
 TEST(CrossingDetector, FirstObservationBelowIsSteadyState) {

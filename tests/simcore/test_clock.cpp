@@ -14,10 +14,9 @@ namespace spothost::sim {
 namespace {
 
 // What domain code looks like: schedules through the interface only.
-SimTime run_one_shot(Clock& clock, SimTime delay) {
-  SimTime fired_at = -1;
+// `fired_at` must outlive the event (the caller owns it).
+void schedule_one_shot(Clock& clock, SimTime delay, SimTime& fired_at) {
   clock.after(delay, [&clock, &fired_at] { fired_at = clock.now(); });
-  return fired_at;  // -1 until the owner runs the simulation
 }
 
 TEST(Clock, DomainCodeSchedulesThroughInterface) {
@@ -25,8 +24,11 @@ TEST(Clock, DomainCodeSchedulesThroughInterface) {
   Clock& clock = s;
   SimTime fired_at = -1;
   clock.after(250, [&] { fired_at = clock.now(); });
-  EXPECT_EQ(run_one_shot(clock, 100), -1);
+  SimTime one_shot_at = -1;
+  schedule_one_shot(clock, 100, one_shot_at);
+  EXPECT_EQ(one_shot_at, -1);  // -1 until the owner runs the simulation
   s.run_until(1000);
+  EXPECT_EQ(one_shot_at, 100);
   EXPECT_EQ(fired_at, 250);
   EXPECT_EQ(clock.now(), 1000);
 }

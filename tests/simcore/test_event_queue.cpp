@@ -26,8 +26,8 @@ class EventQueueContract : public ::testing::TestWithParam<QueueBackend> {
 INSTANTIATE_TEST_SUITE_P(AllBackends, EventQueueContract,
                          ::testing::Values(QueueBackend::kBinaryHeap,
                                            QueueBackend::kTimingWheel),
-                         [](const auto& info) {
-                           return std::string(to_string(info.param)) == "wheel"
+                         [](const auto& backend) {
+                           return std::string(to_string(backend.param)) == "wheel"
                                       ? "Wheel"
                                       : "Heap";
                          });

@@ -307,72 +307,6 @@ TEST(ShardedSim, CrossLaneCancelFromWindowThrows) {
   EXPECT_THROW(eng.run_until(10), std::logic_error);
 }
 
-TEST(ShardedSim, RunStageEvaluatesAllTasksInParallelContext) {
-  ShardedSimulation eng(3);
-  eng.run_until(kHour);  // advance so lane-clock alignment is observable
-  std::vector<SimTime> seen(3, -1);
-  std::vector<Callback> tasks(3);
-  tasks[0] = [&eng, &seen] { seen[0] = eng.shard_clock(0).now(); };
-  tasks[2] = [&eng, &seen] { seen[2] = eng.shard_clock(2).now(); };
-  eng.run_stage(std::move(tasks));
-  // Idle lanes lag the global clock; the stage aligns participating lanes
-  // to the barrier time so pure reads of "now" agree with the serial run.
-  EXPECT_EQ(seen[0], kHour);
-  EXPECT_EQ(seen[1], -1);  // null slot skipped
-  EXPECT_EQ(seen[2], kHour);
-  EXPECT_EQ(eng.stats().stages, 1u);
-}
-
-TEST(ShardedSim, RunStageWithAllNullTasksIsFree) {
-  ShardedSimulation eng(2);
-  eng.run_stage(std::vector<Callback>(2));
-  EXPECT_EQ(eng.stats().stages, 0u);
-}
-
-TEST(ShardedSim, RunStageValidatesTaskCount) {
-  ShardedSimulation eng(2);
-  EXPECT_THROW(eng.run_stage(std::vector<Callback>(3)), std::invalid_argument);
-}
-
-TEST(ShardedSim, RunStageFromWindowThrows) {
-  ShardedSimulation eng(2);
-  eng.shard_clock(0).at(5, [&eng] {
-    eng.run_stage(std::vector<Callback>(2));
-  });
-  EXPECT_THROW(eng.run_until(20), std::logic_error);
-}
-
-TEST(ShardedSim, StageTaskMayNotSchedule) {
-  ShardedSimulation eng(2);
-  std::vector<Callback> tasks(2);
-  // Even the task's OWN lane is off-limits: stages are pure evaluation.
-  tasks[0] = [&eng] { eng.shard_clock(0).after(1, [] {}); };
-  EXPECT_THROW(eng.run_stage(std::move(tasks)), std::logic_error);
-}
-
-TEST(ShardedSim, StageTaskMayNotCancel) {
-  ShardedSimulation eng(2);
-  EventHandle h = eng.shard_clock(0).at(50, [] {});
-  std::vector<Callback> tasks(2);
-  tasks[0] = [&h] { h.cancel(); };
-  EXPECT_THROW(eng.run_stage(std::move(tasks)), std::logic_error);
-}
-
-TEST(ShardedSim, StageTaskMayNotTrace) {
-  ShardedSimulation eng(2);
-  Recorder rec;
-  obs::Tracer tracer;
-  tracer.add_sink(&rec);
-  eng.set_tracer(&tracer);
-  std::vector<Callback> tasks(2);
-  Clock& c0 = eng.shard_clock(0);
-  tasks[0] = [&c0] { emit(c0, EventKind::kPriceChange, 1, 1.0); };
-  EXPECT_THROW(eng.run_stage(std::move(tasks)), std::logic_error);
-  // The illegal trace is dropped, not merged.
-  eng.set_tracer(nullptr);
-  EXPECT_TRUE(rec.events.empty());
-}
-
 TEST(ShardedSim, SameTickCancelSuppressesStagedVictim) {
   // The serial engine pops one event at a time, so a barrier-time callback
   // canceling another event due at the SAME timestamp suppresses it (cancel
