@@ -33,11 +33,6 @@
 // change applies from the next step (a removed listener is skipped at
 // once). Within one market, recipients fire in the order they started
 // watching it — same registrations, same dispatch order, every run.
-//
-// Sharded runs use this same serial path: price, hour and revocation
-// triggers are all delivered inline in the serial phase, on the global
-// clock. register/watch/arm/set_interest calls are serial-phase operations
-// — never call them from a parallel window callback.
 #pragma once
 
 #include <cstdint>
@@ -106,11 +101,10 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
     virtual ~TriggerListener() = default;
     /// Listener contract:
     ///  * Delivery is synchronous, inside the provider/simulation event that
-    ///    caused it, in the serial phase (sharded runs included) — the
-    ///    callback observes the world exactly as the trigger left it, and
-    ///    may issue provider requests, (un)register listeners or change
-    ///    interests reentrantly (see the class comment for when such a
-    ///    change takes effect).
+    ///    caused it — the callback observes the world exactly as the
+    ///    trigger left it, and may issue provider requests, (un)register
+    ///    listeners or change interests reentrantly (see the class comment
+    ///    for when such a change takes effect).
     ///  * A kPriceChange trigger arrives only if the listener's declared
     ///    Interest matches the step (set_interest). A listener that
     ///    declares kNone or kAbove promises that every step it is not sent
@@ -176,10 +170,8 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   /// re-declaring the current interest is a cheap no-op.
   void set_interest(ListenerId id, Interest interest);
 
-  /// Schedules a kHourBoundary trigger for `id` at absolute time `at`, on
-  /// the global clock. Returns the event handle — cancel through it from
-  /// the serial phase (hour checks reach the provider, which is
-  /// global-lane state; see DESIGN.md §9.2).
+  /// Schedules a kHourBoundary trigger for `id` at absolute time `at`.
+  /// Returns the event handle to cancel it through.
   sim::EventHandle schedule_hour_tick(ListenerId id, sim::SimTime at);
 
   /// Routes the provider's revocation warning for `instance` to `id` as a

@@ -63,7 +63,6 @@ CloudScheduler::CloudScheduler(sim::Clock& clock,
                                workload::ServiceEndpoint& service,
                                SchedulerConfig config, sim::RngStream timing_rng)
     : clock_(clock),
-      lane_clock_(&clock),
       provider_(provider),
       service_(service),
       config_(std::move(config)),
@@ -97,11 +96,6 @@ CloudScheduler::~CloudScheduler() {
   if (listener_ != MarketWatcher::kInvalidListener) {
     watcher_.remove_listener(listener_);
   }
-}
-
-void CloudScheduler::pin_to_shard(sim::ShardRouter& router, std::size_t shard) {
-  lane_clock_ = &router.shard_clock(shard);
-  engine_->bind_lane(*lane_clock_);
 }
 
 void CloudScheduler::set_owner_tag(std::uint64_t owner) {
@@ -499,13 +493,9 @@ void CloudScheduler::on_revocation_warning(InstanceId instance, SimTime t_term) 
                                 holding_->market.region, holding_->market.region);
     const SimTime t_stop = std::max(clock_.now(),
                                     t_term - sim::from_seconds(timings.flush_s));
-    // Service-local: in a pinned fleet the outage bookkeeping runs on the
-    // shard lane (inside a parallel window), so read the lane clock — the
-    // global clock lags inside a window. t_term stays global: it drives
-    // reacquisition through the provider.
-    lane_clock_->at(t_stop, [this] {
+    clock_.at(t_stop, [this] {
       if (service_.is_up()) {
-        service_.begin_outage(lane_clock_->now(),
+        service_.begin_outage(clock_.now(),
                               workload::OutageCause::kSpotLoss);
       }
     });
@@ -576,10 +566,8 @@ void CloudScheduler::pure_spot_reacquire() {
           if (!service_.is_up()) {
             service_.end_outage(clock_.now(), degraded > 0);
             if (degraded > 0) {
-              // Service-local tail of a global-lane callback: absolute time
-              // (the lane clock may lag here), lane-resident execution.
-              lane_clock_->at(clock_.now() + degraded, [this] {
-                service_.end_degraded(lane_clock_->now());
+              clock_.at(clock_.now() + degraded, [this] {
+                service_.end_degraded(clock_.now());
               });
             }
           }

@@ -41,7 +41,6 @@
 #include "sched/scheduler_config.hpp"
 #include "simcore/rng.hpp"
 #include "simcore/clock.hpp"
-#include "simcore/shard_router.hpp"
 #include "virt/mechanisms.hpp"
 #include "workload/endpoint.hpp"
 
@@ -95,18 +94,6 @@ class CloudScheduler : private MigrationHost,
   /// Capacity the hosted endpoint needs, in small-units (after any
   /// override) — the basis for effective-price packing and attribution.
   [[nodiscard]] int units_needed() const;
-
-  /// Pins this scheduler's service-local timers — outage begin at a
-  /// revocation deadline, degraded-mode ends — to `shard` of `router`, so
-  /// they execute inside parallel windows. Triggers and everything that
-  /// touches the provider (requests, adoption, retries, hour checks) stay
-  /// in the serial phase on the global clock; see DESIGN.md §9.2 for the
-  /// full table. Serial-phase setup only.
-  void pin_to_shard(sim::ShardRouter& router, std::size_t shard);
-
-  /// The clock shard-eligible timers run on: the pinned shard's clock, or
-  /// the global clock when unpinned (then identical to the ctor's clock).
-  [[nodiscard]] sim::Clock& lane_clock() const noexcept { return *lane_clock_; }
 
   /// Tags every instance this scheduler acquires from now on with `owner`
   /// in the provider's billing ledger, so fleet cost attribution can
@@ -186,11 +173,6 @@ class CloudScheduler : private MigrationHost,
                                             std::uint8_t code) const override;
 
   sim::Clock& clock_;
-  /// Where shard-eligible timers land: &clock_ until pin_to_shard installs
-  /// the shard's clock. Callbacks scheduled here must read lane_clock_->
-  /// now(), not clock_.now() — inside a window the global clock still shows
-  /// the previous barrier.
-  sim::Clock* lane_clock_;
   cloud::CloudProvider& provider_;
   workload::ServiceEndpoint& service_;
   SchedulerConfig config_;

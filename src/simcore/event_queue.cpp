@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 #include <utility>
 
 #include "simcore/timing_wheel.hpp"
@@ -28,14 +29,16 @@ QueueBackend default_queue_backend() {
   if (value == nullptr || *value == '\0') return QueueBackend::kTimingWheel;
   if (std::strcmp(value, "wheel") == 0) return QueueBackend::kTimingWheel;
   if (std::strcmp(value, "heap") == 0) return QueueBackend::kBinaryHeap;
-  static bool warned = false;
-  if (!warned) {
-    warned = true;
+  // Every Simulation() reaches this through its default argument, and
+  // sweeps build worlds on many pool threads at once: the warn-once latch
+  // must be a synchronized one, not a plain static bool.
+  static std::once_flag warned;
+  std::call_once(warned, [value] {
     std::fprintf(stderr,
                  "spothost: ignoring unrecognised SPOTHOST_EVENT_QUEUE=%s "
                  "(expected \"wheel\" or \"heap\"); using wheel\n",
                  value);
-  }
+  });
   return QueueBackend::kTimingWheel;
 }
 

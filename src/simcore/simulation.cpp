@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "simcore/sharded_sim.hpp"
 
 namespace spothost::sim {
 
@@ -44,9 +43,7 @@ bool Simulation::step() {
 }
 
 std::unique_ptr<Engine> make_simulation_engine() {
-  // 0 = "ask the environment": SPOTHOST_SHARDS selects the sharded engine,
-  // defaulting to 1 — the plain serial Simulation, byte-transparent.
-  return make_simulation_engine(0);
+  return std::make_unique<Simulation>();
 }
 
 }  // namespace spothost::sim

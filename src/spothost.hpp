@@ -24,7 +24,6 @@
 #include "exec/thread_pool.hpp"
 #include "cloud/market.hpp"
 #include "cloud/provider.hpp"
-#include "cloud/volume.hpp"
 #include "faults/fault_plan.hpp"
 #include "faults/injector.hpp"
 #include "live/feed_driver.hpp"

@@ -196,7 +196,6 @@ Arm make_arm(Shape shape) {
   arm.scenario.horizon = 30 * sim::kDay;
   arm.scenario.regions = {"us-east-1a", "us-east-1b", "us-west-1a"};
   arm.scenario.sizes = {InstanceSize::kSmall, InstanceSize::kLarge};
-  arm.scenario.shards = 1;
   arm.config.num_services = 50;
   arm.config.service_template = sched::proactive_config(kHome);
   arm.config.home_markets = {{"us-east-1a", InstanceSize::kSmall},
@@ -277,7 +276,6 @@ TEST(InterestFanout, DeliversAtMostTwoPercentOfFullFanoutVisits) {
   scenario.seed = 20150615;
   scenario.horizon = 30 * sim::kDay;
   scenario.regions = {"us-east-1a", "us-east-1b", "us-west-1a"};
-  scenario.shards = 1;
   sched::FleetConfig config;
   config.num_services = 2000;
   config.service_template = sched::proactive_config(kHome);

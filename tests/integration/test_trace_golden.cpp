@@ -19,7 +19,6 @@
 
 #include "obs/jsonl_sink.hpp"
 #include "obs/sink.hpp"
-#include "simcore/sharded_sim.hpp"
 #include "spothost.hpp"
 
 namespace spothost {
@@ -40,13 +39,12 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-std::string run_golden_scenario(int shards) {
+std::string run_golden_scenario() {
   sched::Scenario scenario;
   scenario.seed = 20150615;
   scenario.horizon = 10 * sim::kDay;
   scenario.regions = {"us-east-1a", "us-east-1b"};
   scenario.sizes = {cloud::InstanceSize::kSmall, cloud::InstanceSize::kLarge};
-  scenario.shards = shards;
   sched::SchedulerConfig cfg =
       sched::proactive_config({"us-east-1a", cloud::InstanceSize::kSmall});
   cfg.scope = sched::MarketScope::kMultiMarket;
@@ -59,51 +57,58 @@ std::string run_golden_scenario(int shards) {
   return os.str();
 }
 
-void expect_golden(const std::string& text, const std::string& label) {
+std::size_t count_lines(const std::string& text) {
   std::size_t lines = 0;
   for (const char c : text) {
     if (c == '\n') ++lines;
   }
+  return lines;
+}
+
+void expect_golden(const std::string& text, const std::string& label) {
   EXPECT_EQ(text.size(), kGoldenBytes) << label;
-  EXPECT_EQ(lines, kGoldenLines) << label;
+  EXPECT_EQ(count_lines(text), kGoldenLines) << label;
   EXPECT_EQ(fnv1a(text), kGoldenHash) << label;
 }
 
 TEST(TraceGolden, ProactiveMultiMarketRunIsByteIdentical) {
-  expect_golden(run_golden_scenario(/*shards=*/0), "serial default");
+  expect_golden(run_golden_scenario(), "default backend");
 }
 
-TEST(TraceGolden, ShardedRunIsByteIdenticalToSerial) {
-  // Scenario::shards is an explicit program choice, so it is never
-  // hardware-clamped: the sharded engine runs on every machine, and its
-  // barrier/merge machinery must reproduce the serial bytes exactly —
-  // under both queue backends.
+TEST(TraceGolden, HoldsOnBothQueueBackends) {
+  // The queue backend is an execution choice: the wheel and the heap oracle
+  // must reproduce the same bytes.
   for (const char* backend : {"wheel", "heap"}) {
     ASSERT_EQ(setenv("SPOTHOST_EVENT_QUEUE", backend, 1), 0);
-    for (const int shards : {2, 4}) {
-      expect_golden(run_golden_scenario(shards),
-                    std::string(backend) + " shards=" + std::to_string(shards));
-    }
+    expect_golden(run_golden_scenario(), backend);
   }
   ASSERT_EQ(unsetenv("SPOTHOST_EVENT_QUEUE"), 0);
 }
 
-// ---- fleet golden: shard-pinned fleets reproduce the serial bytes ---------
+// ---- fleet golden: a 5-service checkpointing fleet -------------------------
+
+// Captured like kGoldenHash: after an intentional behaviour change, update
+// the four constants together.
+constexpr std::uint64_t kFleetGoldenHash = 7930545321851806217ull;
+constexpr std::size_t kFleetGoldenBytes = 251419;
+constexpr std::size_t kFleetGoldenLines = 1888;
+constexpr const char* kFleetGoldenTable =
+    R"(| services | cost $  | attributed $ | cost % | mean unavail % | worst unavail % | any down % | max down | forced | planned | reverse |
+|----------|---------|--------------|--------|----------------|-----------------|------------|----------|--------|---------|---------|
+| 5        | 37.5800 | 14.9759      | 20.800 | 0.02711        | 0.04974         | 0.09870    | 3        | 9      | 2       | 9       |
+)";
 
 struct FleetRun {
-  std::string jsonl;            ///< full event trace
-  std::string table;            ///< rendered fleet-metrics table
-  std::uint64_t windows = 0;    ///< parallel windows run (sharded only)
-  std::uint64_t merged = 0;     ///< window dispatches merged (sharded only)
+  std::string jsonl;  ///< full event trace
+  std::string table;  ///< rendered fleet-metrics table
 };
 
-FleetRun run_fleet_golden(int shards) {
+FleetRun run_fleet_golden() {
   sched::Scenario scenario;
   scenario.seed = 20150615;
   scenario.horizon = 10 * sim::kDay;
   scenario.regions = {"us-east-1a", "us-east-1b"};
   scenario.sizes = {cloud::InstanceSize::kSmall, cloud::InstanceSize::kLarge};
-  scenario.shards = shards;
 
   sched::FleetConfig cfg;
   cfg.num_services = 5;
@@ -111,8 +116,8 @@ FleetRun run_fleet_golden(int shards) {
       sched::proactive_config({"us-east-1a", cloud::InstanceSize::kSmall});
   cfg.service_template.scope = sched::MarketScope::kMultiMarket;
   // Stop-and-copy checkpointing: planned migrations carry real downtime, so
-  // the shard-lane timers (service-up at up_at, degraded-mode ends) fire
-  // inside parallel windows rather than degenerating to barrier-only work.
+  // the service-local timers (service-up at up_at, degraded-mode ends) are
+  // part of the pinned bytes.
   cfg.service_template.combo = virt::MechanismCombo::kCkpt;
   cfg.home_markets = {{"us-east-1a", cloud::InstanceSize::kSmall},
                       {"us-east-1b", cloud::InstanceSize::kSmall}};
@@ -126,7 +131,7 @@ FleetRun run_fleet_golden(int shards) {
   sched::World world(scenario);
   world.engine().set_tracer(&tracer);
   sched::FleetScheduler fleet(world.clock(), world.provider(), cfg,
-                              world.rng(), world.shard_router());
+                              world.rng());
   fleet.start();
   world.engine().run_until(world.horizon());
   world.provider().finalize(world.horizon());
@@ -153,32 +158,17 @@ FleetRun run_fleet_golden(int shards) {
   std::ostringstream ts;
   table.print(ts);
   r.table = ts.str();
-
-  if (const auto* sharded =
-          dynamic_cast<const sim::ShardedSimulation*>(&world.engine())) {
-    const auto stats = sharded->stats();
-    r.windows = stats.windows;
-    r.merged = stats.merged;
-  }
   return r;
 }
 
-TEST(FleetGolden, ShardPinnedFleetIsByteIdenticalToSerial) {
+TEST(FleetGolden, CkptFleetMatchesCapturedBytes) {
   for (const char* backend : {"wheel", "heap"}) {
     ASSERT_EQ(setenv("SPOTHOST_EVENT_QUEUE", backend, 1), 0);
-    const FleetRun serial = run_fleet_golden(/*shards=*/1);
-    ASSERT_FALSE(serial.jsonl.empty());
-    for (const int shards : {2, 4}) {
-      const FleetRun sharded = run_fleet_golden(shards);
-      const std::string label =
-          std::string(backend) + " shards=" + std::to_string(shards);
-      EXPECT_EQ(sharded.jsonl, serial.jsonl) << label;
-      EXPECT_EQ(sharded.table, serial.table) << label;
-      // The identity must be earned, not vacuous: the run must have
-      // dispatched real lane work inside windows.
-      EXPECT_GT(sharded.windows, 0u) << label;
-      EXPECT_GT(sharded.merged, 0u) << label;
-    }
+    const FleetRun run = run_fleet_golden();
+    EXPECT_EQ(run.jsonl.size(), kFleetGoldenBytes) << backend;
+    EXPECT_EQ(count_lines(run.jsonl), kFleetGoldenLines) << backend;
+    EXPECT_EQ(fnv1a(run.jsonl), kFleetGoldenHash) << backend;
+    EXPECT_EQ(run.table, kFleetGoldenTable) << backend;
   }
   ASSERT_EQ(unsetenv("SPOTHOST_EVENT_QUEUE"), 0);
 }

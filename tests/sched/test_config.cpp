@@ -133,6 +133,20 @@ TEST(World, InvalidHorizonRejected) {
   EXPECT_THROW(World(Scenario{.seed = 1, .horizon = 0}), std::invalid_argument);
 }
 
+TEST(World, ShardsOtherThanZeroOrOneRejected) {
+  // There is one engine, the serial one: 0 and 1 both select it.
+  for (const int shards : {0, 1}) {
+    Scenario s{.seed = 1, .horizon = kDay};
+    s.shards = shards;
+    EXPECT_NO_THROW((void)normalized_scenario(s)) << shards;
+  }
+  for (const int shards : {-1, 2, 4}) {
+    Scenario s{.seed = 1, .horizon = kDay};
+    s.shards = shards;
+    EXPECT_THROW((void)normalized_scenario(s), std::invalid_argument) << shards;
+  }
+}
+
 TEST(World, TraceDirOverridesMarketsFromCsv) {
   // Export one synthetic market to CSV, then rebuild a world that loads it:
   // that market must match the file exactly; others stay synthetic.
