@@ -1,22 +1,27 @@
-// spothost_serve — the serving front end: one codebase, two clocks.
+// spothost_serve — the serving front end: one simulation, three feeds.
 //
 // Runs the exact policy layer the simulator runs — provider, markets,
-// scheduler, migration engine — against a price feed file, on the engine of
-// your choice:
+// scheduler, migration engine — against a price feed file. Every mode runs
+// the one sim::Simulation event loop; the modes differ in how prices reach
+// the markets and in whether the loop is paced on the wall clock:
 //
-//   --mode sim     load the feed into price traces and run the discrete-event
-//                  Simulation (the backtest; reference output)
+//   --mode sim     load the feed into price traces (trace-fed markets) and
+//                  run the simulation to the end (the backtest; reference
+//                  output)
 //   --mode replay  feed the same file through live::FeedDriver into push-fed
-//                  markets on a live::WallClock at --speed max: byte-identical
-//                  decisions to --mode sim, produced by the live machinery
-//   --mode tail    tail -f the feed file as it grows, pacing on the wall
-//                  clock at --speed N; emits each migration decision with
-//                  bounded latency after the price row lands in the file
+//                  markets and run the simulation to the end, unpaced:
+//                  byte-identical decisions to --mode sim, produced by the
+//                  live feed machinery
+//   --mode tail    tail -f the feed file as it grows, pacing the simulation
+//                  with a live::WallClock at --speed N; emits each migration
+//                  decision with bounded latency after the price row lands in
+//                  the file
 //
 //   spothost_serve --feed prices.csv [options]
 //     --mode M          sim|replay|tail            (default replay)
-//     --speed N|max     tail pacing: virtual ms per wall ms (default 1;
-//                       replay always runs at max)
+//     --speed N|max     tail pacing: virtual ms per wall ms, a positive
+//                       number or 'max' for no pacing (default 1; ignored
+//                       by sim and replay)
 //     --out FILE        decision JSONL output, '-' = stdout (default -)
 //     --policy P        proactive|reactive|pure-spot (default proactive)
 //     --scope S         single|multi-market|multi-region (default multi-market)
@@ -26,13 +31,13 @@
 //     --max-wall-s N    tail mode: stop after N wall seconds (default 3600)
 //     --ticks           include per-tick price-change events in the output
 //
+// Numbers must be whole-string: '--seed abc', '--seed -1' and '--speed 2x'
+// exit 2 with usage.
+//
 // Feed rows: "time_ms,market,price" CSV or {"t":..,"market":"..","price":..}
 // JSONL; '#' comments and a time,... header are skipped; "end,<time_ms>"
 // marks the feed complete. Market keys are "<region>/<size>", e.g.
 // "us-east-1a/small"; on-demand prices come from the instance-type catalog.
-//
-// The event-queue backend honours SPOTHOST_EVENT_QUEUE=wheel|heap for both
-// engines.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -42,6 +47,8 @@
 #include <thread>
 #include <vector>
 
+#include "cli_number.hpp"
+#include "simcore/simulation.hpp"
 #include "spothost.hpp"
 
 using namespace spothost;
@@ -56,6 +63,13 @@ namespace {
       "                      [--scope S] [--home REGION/SIZE] [--seed N]\n"
       "                      [--markets K1,K2,...] [--max-wall-s N] [--ticks]\n";
   std::exit(error.empty() ? 0 : 2);
+}
+
+template <typename T>
+T number_arg(const std::string& flag, const std::string& text) {
+  const auto value = parse_number<T>(text);
+  if (!value) usage(flag + " expects a number: " + text);
+  return *value;
 }
 
 /// Forwards decision events to the JSONL sink, dropping the high-volume
@@ -185,9 +199,9 @@ int main(int argc, char** argv) {
     else if (arg == "--policy") policy = next();
     else if (arg == "--scope") scope = next();
     else if (arg == "--home") home_key = next();
-    else if (arg == "--seed") seed = std::strtoull(next().c_str(), nullptr, 10);
+    else if (arg == "--seed") seed = number_arg<std::uint64_t>(arg, next());
     else if (arg == "--markets") allowlist = split_csv(next());
-    else if (arg == "--max-wall-s") max_wall_s = std::atoi(next().c_str());
+    else if (arg == "--max-wall-s") max_wall_s = number_arg<int>(arg, next());
     else if (arg == "--ticks") include_ticks = true;
     else if (arg == "--help" || arg == "-h") usage();
     else usage("unknown option: " + arg);
@@ -196,12 +210,9 @@ int main(int argc, char** argv) {
   if (mode != "sim" && mode != "replay" && mode != "tail") {
     usage("unknown mode: " + mode);
   }
-  double speed = 1.0;
-  if (speed_arg == "max") speed = live::WallClock::kMaxSpeed;
-  else {
-    speed = std::atof(speed_arg.c_str());
-    if (!(speed > 0)) usage("--speed must be > 0 or 'max'");
-  }
+  const double speed = speed_arg == "max" ? live::WallClock::kMaxSpeed
+                                          : number_arg<double>("--speed", speed_arg);
+  if (!(speed > 0)) usage("--speed must be > 0 or 'max'");
   if (max_wall_s <= 0) usage("--max-wall-s must be > 0");
 
   // --- output + tracer ---------------------------------------------------
@@ -234,12 +245,12 @@ int main(int argc, char** argv) {
   if (mode == "sim") {
     const LoadedFeed loaded = load_feed(feed_path);
     const auto config = make_config(loaded.keys.front());
-    auto engine = sim::make_simulation_engine();
+    sim::Simulation engine;
     live::HostingSession session(
-        *engine, build_spec(loaded.keys, loaded.traces.data(), config, seed));
+        engine, build_spec(loaded.keys, loaded.traces.data(), config, seed));
     session.attach_tracer(&tracer);
     session.start();
-    engine->run_until(loaded.horizon);
+    engine.run_until(loaded.horizon);
     session.finalize(loaded.horizon);
     tracer.flush();
     total_cost = session.provider().ledger().total_cost();
@@ -247,19 +258,18 @@ int main(int argc, char** argv) {
   } else if (mode == "replay") {
     const LoadedFeed loaded = load_feed(feed_path);
     const auto config = make_config(loaded.keys.front());
-    live::WallClock clock(live::WallClock::Options{
-        live::WallClock::kMaxSpeed, 0, sim::default_queue_backend()});
+    sim::Simulation engine;
     live::HostingSession session(
-        clock, build_spec(loaded.keys, nullptr, config, seed));
+        engine, build_spec(loaded.keys, nullptr, config, seed));
     session.attach_tracer(&tracer);
     live::TraceReplayFeed feed;
     for (std::size_t i = 0; i < loaded.keys.size(); ++i) {
       feed.add_market(loaded.keys[i], &loaded.traces[i]);
     }
-    live::FeedDriver driver(clock, session.provider(), feed);
+    live::FeedDriver driver(engine, session.provider(), feed);
     driver.start();
     session.start();
-    clock.run_until(loaded.horizon);
+    engine.run_until(loaded.horizon);
     session.finalize(loaded.horizon);
     tracer.flush();
     delivered = driver.delivered();
@@ -288,12 +298,11 @@ int main(int argc, char** argv) {
     feed.pump();
 
     const auto config = make_config(feed.markets().front());
-    live::WallClock clock(
-        live::WallClock::Options{speed, 0, sim::default_queue_backend()});
+    sim::Simulation engine;
     live::HostingSession session(
-        clock, build_spec(feed.markets(), nullptr, config, seed));
+        engine, build_spec(feed.markets(), nullptr, config, seed));
     session.attach_tracer(&tracer);
-    live::FeedDriver driver(clock, session.provider(), feed);
+    live::FeedDriver driver(engine, session.provider(), feed);
     std::chrono::nanoseconds max_latency{0};
     driver.set_delivery_hook([&max_latency](const live::PriceUpdate& u) {
       max_latency = std::max(max_latency,
@@ -302,6 +311,7 @@ int main(int argc, char** argv) {
     driver.start();
     session.start();
 
+    live::WallClock clock(engine, speed);
     const auto poll_interval = std::chrono::milliseconds{10};
     while (!driver.done() &&
            std::chrono::steady_clock::now() < wall_deadline) {
@@ -317,11 +327,11 @@ int main(int argc, char** argv) {
     }
     driver.pump();
     clock.poll();
-    session.finalize(clock.now());
+    session.finalize(engine.now());
     tracer.flush();
     delivered = driver.delivered();
     total_cost = session.provider().ledger().total_cost();
-    served_until = clock.now();
+    served_until = engine.now();
     std::cerr << "serve: max_delivery_latency_ms="
               << std::chrono::duration_cast<std::chrono::milliseconds>(
                      max_latency)

@@ -12,10 +12,14 @@
 //     --bid K           proactive bid multiple    (default 4)
 //     --pessimistic     use the pessimistic mechanism parameters
 //     --estimate        also print the closed-form trace estimate
+//
+// Numbers must be whole-string ('--days 3x' and '--seed -1' exit 2 with
+// usage).
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "cli_number.hpp"
 #include "spothost.hpp"
 
 using namespace spothost;
@@ -37,6 +41,13 @@ virt::MechanismCombo parse_combo(const std::string& s) {
   if (s == "ckpt-live") return virt::MechanismCombo::kCkptLive;
   if (s == "ckpt-lr-live") return virt::MechanismCombo::kCkptLazyLive;
   usage("unknown combo: " + s);
+}
+
+template <typename T>
+T number_arg(const std::string& flag, const std::string& text) {
+  const auto value = parse_number<T>(text);
+  if (!value) usage(flag + " expects a number: " + text);
+  return *value;
 }
 
 }  // namespace
@@ -65,10 +76,10 @@ int main(int argc, char** argv) {
     else if (arg == "--policy") policy = next();
     else if (arg == "--scope") scope = next();
     else if (arg == "--combo") combo = parse_combo(next());
-    else if (arg == "--days") days = std::atoi(next().c_str());
-    else if (arg == "--seeds") seeds = std::atoi(next().c_str());
-    else if (arg == "--seed") base_seed = std::strtoull(next().c_str(), nullptr, 10);
-    else if (arg == "--bid") bid_multiple = std::atof(next().c_str());
+    else if (arg == "--days") days = number_arg<int>(arg, next());
+    else if (arg == "--seeds") seeds = number_arg<int>(arg, next());
+    else if (arg == "--seed") base_seed = number_arg<std::uint64_t>(arg, next());
+    else if (arg == "--bid") bid_multiple = number_arg<double>(arg, next());
     else if (arg == "--pessimistic") pessimistic = true;
     else if (arg == "--estimate") estimate = true;
     else if (arg == "--help" || arg == "-h") usage();

@@ -3,11 +3,12 @@
 #
 #   1. Parity: spothost_serve --mode sim and --mode replay over the bundled
 #      one-hour feed snippet must emit byte-identical decision JSONL — the
-#      same policy layer, driven once by the simulation engine and once by
-#      the wall clock in deterministic fast-replay.
+#      same simulation and policy layer, fed once by pre-loaded price traces
+#      and once by the live feed driver pushing the file's rows.
 #   2. Liveness: --mode tail against a CSV that a background writer is still
 #      appending to must deliver every update and keep the measured
 #      feed-to-market delivery latency under a bound.
+#   3. Strict numbers: a malformed --seed or --speed exits 2 with usage.
 #
 # Usage: scripts/serve_smoke.sh [build_dir]   (default: build)
 set -euo pipefail
@@ -21,7 +22,7 @@ trap 'rm -rf "$TMP"' EXIT
 
 [ -x "$SERVE" ] || { echo "missing binary: $SERVE (build first)"; exit 1; }
 
-echo "== parity: sim vs wall-clock fast replay over $FEED =="
+echo "== parity: trace-fed sim vs feed-driven replay over $FEED =="
 "$SERVE" --feed "$FEED" --mode sim --out "$TMP/sim.jsonl" 2>"$TMP/sim.log"
 "$SERVE" --feed "$FEED" --mode replay --speed max --out "$TMP/replay.jsonl" \
   2>"$TMP/replay.log"
@@ -34,7 +35,7 @@ if [ "$decisions" -lt 5 ]; then
   echo "FAIL: only $decisions decisions — snippet should force migrations"
   exit 1
 fi
-echo "OK: $decisions decisions, byte-identical across both clocks"
+echo "OK: $decisions decisions, byte-identical across both price paths"
 
 echo "== liveness: tail a growing feed =="
 GROW="$TMP/grow.csv"
@@ -66,3 +67,20 @@ if [ "$updates" -lt 7 ]; then
   exit 1
 fi
 echo "OK: tailed $updates updates, max delivery latency ${latency}ms"
+
+echo "== strict numbers: malformed values exit 2 =="
+for bad in "--seed abc" "--seed -1" "--speed 2x"; do
+  # shellcheck disable=SC2086  # split "--flag value" into two words
+  if "$SERVE" --feed "$FEED" --mode sim --out "$TMP/bad.jsonl" $bad \
+      2>"$TMP/bad.log"; then
+    status=0
+  else
+    status=$?
+  fi
+  if [ "$status" -ne 2 ] || ! grep -q '^usage:' "$TMP/bad.log"; then
+    echo "FAIL: '$bad' exited $status, expected 2 with usage"
+    cat "$TMP/bad.log"
+    exit 1
+  fi
+done
+echo "OK: malformed --seed/--speed rejected with usage"

@@ -4,9 +4,9 @@
 // binary and the sim/live parity test assemble *exactly* the same object
 // graph — rng factory, fault injector (empty plan: zero draws, zero
 // events), provider, Table-1 allocation latencies, markets, service,
-// scheduler — differing only in the engine underneath (Simulation vs
-// WallClock) and in how market prices arrive (pre-loaded trace vs
-// FeedDriver pushing a PriceFeed).
+// scheduler — differing only in how market prices arrive (pre-loaded trace
+// vs FeedDriver pushing a PriceFeed). The engine is a sim::Simulation in
+// every mode; a live session paces it with a live::WallClock.
 //
 // Two-phase on purpose: the constructor wires the provider and calls
 // provider->start() (trace-fed markets schedule their price chains here;

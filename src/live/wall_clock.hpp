@@ -1,121 +1,69 @@
-// The wall-time engine: sim::Clock/Engine over std::chrono::steady_clock.
+// The wall-time pacer: runs a sim::Simulation against std::chrono::steady_clock.
 //
-// WallClock maps elapsed wall time onto the same millisecond SimTime axis
-// the simulation uses, backed by the very same event-queue backends (timing
-// wheel by default — SPOTHOST_EVENT_QUEUE applies here too), so the policy
-// layer cannot tell which engine is underneath. Three speeds:
+// WallClock is not an engine. It owns no queue and dispatches nothing; it
+// maps elapsed wall time onto the simulation's millisecond SimTime axis and
+// advances the Simulation with run_until(target). The serve loop therefore
+// runs the one event loop every experiment runs, and what a live session
+// does at a given virtual time is what the backtest does by construction.
 //
 //   * speed 1.0  — real time: one virtual millisecond per wall millisecond.
-//   * speed N    — paced replay: N virtual ms per wall ms (demo / soak).
-//   * kMaxSpeed  — deterministic fast-replay: time jumps straight from event
-//     to event with no sleeping, exactly the discrete-event semantics of
-//     Simulation::run_until. This is the parity mode: replaying a recorded
-//     feed here produces the byte-identical trace the simulation produces
-//     (tests/live/test_serve_parity.cpp pins it).
+//   * speed N    — paced: N virtual ms per wall ms (demo / soak).
+//   * kMaxSpeed  — no pacing: poll() runs everything pending, run_until()
+//     never sleeps (spothost_serve --mode tail --speed max).
 //
-// Time only advances inside poll()/run_until() — between calls now() is the
-// time of the last dispatch target, never a raw steady_clock read. That
-// keeps the discrete-event invariants (now() is stable within a callback,
-// events fire in (time, schedule-seq) order, scheduling is monotone) intact
-// on the wall path; the price is that now() lags wall time by up to one
-// poll interval, which the serve loop keeps at ~10 ms.
+// Virtual time only advances inside poll()/run_until(): between calls the
+// simulation's now() is the last target, never a raw steady_clock read, so
+// now() is stable within a callback and scheduling stays monotone. The
+// price is that now() lags wall time by up to one poll interval, which the
+// serve loop keeps at ~10 ms.
 //
-// Single-threaded, like Simulation: all scheduling and polling must happen
-// on one thread. Feed ingestion from another thread must be handed over via
-// the feed's own synchronization (live::FileTailFeed reads a file, so the
-// filesystem is the handoff).
+// Single-threaded, like Simulation. Feed ingestion from another thread must
+// be handed over through the feed's own synchronization (live::FileTailFeed
+// reads a file, so the filesystem is the handoff).
 #pragma once
 
 #include <chrono>
-#include <cstdint>
+#include <cstddef>
 #include <limits>
-#include <memory>
 #include <optional>
 
-#include "simcore/engine.hpp"
-#include "simcore/event_queue.hpp"
+#include "simcore/simulation.hpp"
 #include "simcore/time.hpp"
 
 namespace spothost::live {
 
-class WallClock final : public sim::Engine {
+class WallClock {
  public:
-  /// speed value selecting deterministic fast-replay.
+  /// Speed value meaning "no pacing".
   static constexpr double kMaxSpeed = std::numeric_limits<double>::infinity();
 
-  struct Options {
-    /// Virtual milliseconds per wall millisecond; kMaxSpeed = fast-replay.
-    /// Must be > 0.
-    double speed = 1.0;
-    /// Initial virtual time.
-    sim::SimTime start_time = 0;
-    /// Event-queue backend (default honours SPOTHOST_EVENT_QUEUE).
-    sim::QueueBackend backend = sim::default_queue_backend();
-  };
+  /// Paces `sim` (not owned; must outlive the pacer) at `speed` virtual
+  /// milliseconds per wall millisecond, from the simulation's current
+  /// time. Throws std::invalid_argument unless speed > 0.
+  WallClock(sim::Simulation& sim, double speed);
 
-  WallClock() : WallClock(Options{1.0, 0, sim::default_queue_backend()}) {}
-  explicit WallClock(Options options);
-
-  // --- sim::Clock --------------------------------------------------------
-  [[nodiscard]] sim::SimTime now() const noexcept override { return now_; }
-  sim::EventHandle at(sim::SimTime when, Callback cb) override;
-  sim::EventHandle after(sim::SimTime delay, Callback cb) override;
-  bool cancel(sim::EventId id) override { return queue_->cancel(id); }
-  [[nodiscard]] obs::Tracer* tracer() const noexcept override {
-    return tracer_;
-  }
-  [[nodiscard]] faults::FaultInjector* fault_injector() const noexcept override {
-    return fault_injector_;
-  }
-
-  // --- sim::Engine -------------------------------------------------------
-  /// Fast-replay: identical to Simulation::run_until (no sleeping).
-  /// Real time / paced: dispatches due events and sleeps between them until
-  /// virtual time reaches `horizon`. Do not pass the run-forever sentinel on
-  /// the wall path unless something is guaranteed to drain the queue.
-  void run_until(sim::SimTime horizon) override;
-  [[nodiscard]] std::uint64_t dispatched() const noexcept override {
-    return dispatched_;
-  }
-  [[nodiscard]] std::size_t pending() const override { return queue_->size(); }
-  void set_tracer(obs::Tracer* tracer) noexcept override { tracer_ = tracer; }
-  void set_fault_injector(faults::FaultInjector* injector) noexcept override {
-    fault_injector_ = injector;
-  }
-
-  // --- the serve loop's surface ------------------------------------------
-  /// Dispatches everything currently due — in fast-replay, *everything*
-  /// pending (timers coalesce into one (time, seq)-ordered batch; see
-  /// tests/live/test_wall_clock.cpp) — and advances now() to the wall-mapped
-  /// time. Never sleeps. Returns the number of events dispatched.
+  /// Runs the simulation up to the wall-mapped time (everything pending at
+  /// kMaxSpeed). Never sleeps. Returns the number of events dispatched.
   std::size_t poll();
 
-  /// Wall duration until the next pending event is due (zero if already due
-  /// or in fast-replay); nullopt when idle. The serve loop sleeps on this.
+  /// Runs the simulation to `horizon`, sleeping until each next event is
+  /// due on the wall clock. Do not pass the run-forever sentinel unless
+  /// something is guaranteed to drain the queue.
+  void run_until(sim::SimTime horizon);
+
+  /// Wall duration until the next pending event is due (zero if already
+  /// due, or at kMaxSpeed); nullopt when idle. The serve loop sleeps on this.
   [[nodiscard]] std::optional<std::chrono::nanoseconds> wall_until_next() const;
 
-  [[nodiscard]] bool fast_replay() const noexcept { return replay_; }
-  [[nodiscard]] double speed() const noexcept { return speed_; }
-  [[nodiscard]] sim::QueueBackend backend() const noexcept {
-    return queue_->backend();
-  }
-
  private:
-  /// Virtual time corresponding to the current wall instant (>= now_).
+  /// Virtual time of the current wall instant; the run-forever sentinel at
+  /// kMaxSpeed.
   [[nodiscard]] sim::SimTime wall_virtual_now() const;
-  /// Dispatches every event due at or before `target`; advances now_ to
-  /// `target` afterwards (unless it is the run-forever sentinel).
-  std::size_t drain(sim::SimTime target);
 
-  std::unique_ptr<sim::EventQueue> queue_;
-  double speed_ = 1.0;
-  bool replay_ = false;
-  sim::SimTime now_ = 0;
+  sim::Simulation& sim_;
+  double speed_;
   std::chrono::steady_clock::time_point anchor_wall_;
-  sim::SimTime anchor_virtual_ = 0;
-  std::uint64_t dispatched_ = 0;
-  obs::Tracer* tracer_ = nullptr;
-  faults::FaultInjector* fault_injector_ = nullptr;
+  sim::SimTime anchor_virtual_;
 };
 
 }  // namespace spothost::live

@@ -59,9 +59,9 @@ class MarketTraceSet;  // sched/market_traces.hpp
 ///
 /// The engine seam: policy components take clock() (sim::Clock — scheduling
 /// only), run control goes through engine() (sim::Engine — run_until /
-/// set_tracer / dispatched). The default engine is a sim::Simulation; pass
-/// one explicitly (e.g. a live::WallClock in fast-replay) to run the exact
-/// same wiring on wall time.
+/// set_tracer / dispatched). The default engine is a sim::Simulation on the
+/// timing wheel; pass one explicitly (e.g. a Simulation on the binary-heap
+/// oracle) to run the exact same wiring on it.
 class World {
  public:
   explicit World(Scenario scenario);

@@ -2,11 +2,12 @@
 //
 // Schedulers, migration engines, and watchers need exactly four things from
 // the engine: the current time, a way to schedule at an absolute or relative
-// time, and a way to cancel. Clock is that contract. Two engines implement
-// it — sim::Simulation (virtual time, simcore/simulation.hpp) and
-// live::WallClock (wall time / paced replay, live/wall_clock.hpp) — and
-// policy code holds a Clock& so the same scheduler runs a backtest or a live
-// feed without knowing which. The layering is enforced, not promised:
+// time, and a way to cancel. Clock is that contract, and sim::Simulation
+// (simcore/simulation.hpp) implements it. Policy code holds a Clock&, so the
+// same scheduler runs a backtest or a live feed: a live session is the same
+// Simulation, paced on the wall clock by live::WallClock (live/wall_clock.hpp),
+// which advances it but schedules nothing itself. The layering is enforced,
+// not promised:
 // scripts/check_layering.sh fails CI if sched/virt/cloud code includes the
 // concrete engine header.
 //
@@ -50,9 +51,9 @@ inline constexpr EventId kInvalidEventId = 0;
 
 class EventHandle;
 
-/// What policy code may do with time. Implemented by sim::Simulation and
-/// live::WallClock (via sim::Engine). All scheduling is single-threaded
-/// within a run; see Simulation for the engine's threading contract.
+/// What policy code may do with time. Implemented by sim::Simulation (via
+/// sim::Engine). All scheduling is single-threaded within a run; see
+/// Simulation for the engine's threading contract.
 class Clock {
  public:
   /// Move-only small-buffer callable (simcore/callback.hpp); lambdas convert

@@ -3,16 +3,14 @@
 // Clock is what policy code *inside* a run needs (now/at/after/cancel);
 // Engine is what the code *around* a run needs: drive the event loop to a
 // horizon, attach the run-scoped tracer and fault injector, and read the
-// dispatch counter for profiling. Two engines implement it:
+// dispatch counter for profiling. sim::Simulation (simcore/simulation.hpp)
+// is the library's engine; a live session runs the same Simulation, paced
+// on the wall clock by live::WallClock, which is not an Engine.
 //
-//   * sim::Simulation — virtual time; run_until() consumes the queue as fast
-//     as the CPU allows (simcore/simulation.hpp).
-//   * live::WallClock — wall time; run_until() sleeps between events, or
-//     fast-replays deterministically at --speed max (live/wall_clock.hpp).
-//
-// The experiment layer (sched::World, metrics) programs against Engine so
-// the same wiring runs a backtest or a live session; only code that needs
-// Simulation-only hooks (step(), the dispatch hook) names the concrete type.
+// The experiment layer (sched::World, metrics) programs against Engine so a
+// caller can inject an engine (a Simulation on the heap oracle, or a
+// decorating engine that profiles dispatch); only code that needs
+// Simulation-only members (step(), next_time()) names the concrete type.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +28,6 @@ class Engine : public Clock {
   /// Runs events until the queue is empty or the clock would pass `horizon`;
   /// events at exactly `horizon` do fire, and the clock is left at `horizon`
   /// (or at the last event time if `horizon` is the run-forever sentinel).
-  /// A wall-clock engine blocks in real time; a simulation never does.
   virtual void run_until(SimTime horizon) = 0;
 
   /// Runs until the queue drains completely.
@@ -52,7 +49,7 @@ class Engine : public Clock {
 };
 
 /// Constructs the default simulation engine behind the Engine interface: a
-/// serial sim::Simulation honouring SPOTHOST_EVENT_QUEUE. Lets
+/// sim::Simulation on the timing wheel. Lets
 /// engine-agnostic code (sched::World) build the default engine without
 /// including simulation.hpp — the layering lint forbids that below the
 /// experiment layer.

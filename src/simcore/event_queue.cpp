@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
 #include <utility>
 
 #include "simcore/timing_wheel.hpp"
@@ -20,26 +16,6 @@ const char* to_string(QueueBackend backend) noexcept {
       return "heap";
   }
   return "?";
-}
-
-QueueBackend default_queue_backend() {
-  // Plain getenv (not the exec layer's helpers): simcore sits below exec in
-  // the dependency order.
-  const char* value = std::getenv("SPOTHOST_EVENT_QUEUE");
-  if (value == nullptr || *value == '\0') return QueueBackend::kTimingWheel;
-  if (std::strcmp(value, "wheel") == 0) return QueueBackend::kTimingWheel;
-  if (std::strcmp(value, "heap") == 0) return QueueBackend::kBinaryHeap;
-  // Every Simulation() reaches this through its default argument, and
-  // sweeps build worlds on many pool threads at once: the warn-once latch
-  // must be a synchronized one, not a plain static bool.
-  static std::once_flag warned;
-  std::call_once(warned, [value] {
-    std::fprintf(stderr,
-                 "spothost: ignoring unrecognised SPOTHOST_EVENT_QUEUE=%s "
-                 "(expected \"wheel\" or \"heap\"); using wheel\n",
-                 value);
-  });
-  return QueueBackend::kTimingWheel;
 }
 
 std::unique_ptr<EventQueue> make_event_queue(QueueBackend backend) {

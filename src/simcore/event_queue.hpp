@@ -7,15 +7,15 @@
 //     wheel, O(1) schedule/cancel/pop for the massively periodic hour-tick
 //     and poll events that dominate fleet runs. The default.
 //   * BinaryHeapQueue (below) — the classic O(log n) heap. Kept as the
-//     differential-testing oracle and as a fallback.
+//     differential-testing oracle.
 //
 // Determinism contract (both backends, enforced by the differential fuzz
 // test in tests/simcore): events pop in (time, schedule order) — FIFO among
 // equal timestamps — so same-seed runs are byte-identical regardless of
 // backend, and the wheel can be the default without re-pinning goldens.
 //
-// Select a backend per-Simulation via the constructor, or process-wide with
-// SPOTHOST_EVENT_QUEUE=wheel|heap (read by default_queue_backend()).
+// The backend is chosen per Simulation, by its constructor argument; there
+// is no process-wide switch. Tests inject the heap as an engine.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +35,6 @@ enum class QueueBackend : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(QueueBackend backend) noexcept;
-
-/// The process-wide default: SPOTHOST_EVENT_QUEUE=wheel|heap if set (an
-/// unrecognised value warns on stderr once and falls through), else the
-/// timing wheel.
-[[nodiscard]] QueueBackend default_queue_backend();
 
 class EventQueue {
  public:

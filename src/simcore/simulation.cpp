@@ -1,7 +1,7 @@
 #include "simcore/simulation.hpp"
 
+#include <limits>
 #include <stdexcept>
-
 
 namespace spothost::sim {
 
@@ -24,7 +24,6 @@ void Simulation::run_until(SimTime horizon) {
   while (queue_->pop_due(horizon, fired)) {
     now_ = fired.time;
     ++dispatched_;
-    if (dispatch_hook_) dispatch_hook_(now_, dispatched_);
     fired.callback();
   }
   if (now_ < horizon && horizon != std::numeric_limits<SimTime>::max()) {
@@ -37,7 +36,6 @@ bool Simulation::step() {
   auto fired = queue_->pop();
   now_ = fired.time;
   ++dispatched_;
-  if (dispatch_hook_) dispatch_hook_(now_, dispatched_);
   fired.callback();
   return true;
 }

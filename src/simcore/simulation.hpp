@@ -12,19 +12,22 @@
 // simcore/timing_wheel.hpp) with the binary heap retained as a
 // differential-testing oracle behind the EventQueue seam.
 //
+// This is the only event loop in the library. Serving on wall time does not
+// swap it out: live::WallClock paces a Simulation by calling run_until() with
+// wall-mapped targets (live/wall_clock.hpp), so a backtest and a live
+// session dispatch through the same loop.
+//
 // Policy code should not depend on this class: it programs against the
 // narrow sim::Clock interface (simcore/clock.hpp) that Simulation
 // implements, and manages its pending events through the EventHandle values
 // that at()/after() return. Run-control code (the experiment layer) uses
-// the sim::Engine interface (simcore/engine.hpp) so the same wiring can
-// drive a live::WallClock instead; scripts/check_layering.sh keeps this
-// header out of sched/virt/cloud.
+// the sim::Engine interface (simcore/engine.hpp);
+// scripts/check_layering.sh keeps this header out of sched/virt/cloud.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <limits>
 #include <memory>
+#include <optional>
 
 #include "simcore/clock.hpp"
 #include "simcore/engine.hpp"
@@ -35,9 +38,9 @@ namespace spothost::sim {
 
 class Simulation final : public Engine {
  public:
-  /// Backed by `backend`; the default honours SPOTHOST_EVENT_QUEUE and
-  /// otherwise picks the timing wheel.
-  explicit Simulation(QueueBackend backend = default_queue_backend())
+  /// Backed by `backend`: the timing wheel unless a caller injects the
+  /// binary-heap oracle.
+  explicit Simulation(QueueBackend backend = QueueBackend::kTimingWheel)
       : queue_(make_event_queue(backend)) {}
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
@@ -71,6 +74,13 @@ class Simulation final : public Engine {
   /// Pending live events.
   [[nodiscard]] std::size_t pending() const override { return queue_->size(); }
 
+  /// Time of the earliest pending event (cancelled ones skipped); nullopt
+  /// when idle. What a wall-clock pacer sleeps on.
+  [[nodiscard]] std::optional<SimTime> next_time() const {
+    if (queue_->empty()) return std::nullopt;
+    return queue_->next_time();
+  }
+
   /// Which EventQueue implementation this simulation runs on.
   [[nodiscard]] QueueBackend backend() const noexcept {
     return queue_->backend();
@@ -95,19 +105,12 @@ class Simulation final : public Engine {
     return fault_injector_;
   }
 
-  /// Observation hook fired on every event dispatch, before the callback
-  /// runs, with (event time, total dispatched so far). Unset by default —
-  /// the hot path then pays one branch. Not part of the trace stream.
-  using DispatchHook = std::function<void(SimTime, std::uint64_t)>;
-  void set_dispatch_hook(DispatchHook hook) { dispatch_hook_ = std::move(hook); }
-
  private:
   SimTime now_ = 0;
   std::unique_ptr<EventQueue> queue_;
   std::uint64_t dispatched_ = 0;
   obs::Tracer* tracer_ = nullptr;
   faults::FaultInjector* fault_injector_ = nullptr;
-  DispatchHook dispatch_hook_;
 };
 
 }  // namespace spothost::sim

@@ -11,7 +11,7 @@
 //   metrics::run_hosting_scenario       — one full hosting run
 //   metrics::ExperimentRunner           — multi-seed aggregation
 //   metrics::SweepRunner                — multi-arm sweeps, memoized traces
-//   live::WallClock + HostingSession    — the same policy layer on wall time
+//   live::HostingSession + WallClock    — the same simulation, paced on wall time
 //   live::PriceFeed / FeedDriver        — streamed price updates (serve mode)
 //   exec::ThreadPool                    — the shared bounded worker pool
 //   obs::Tracer + sinks                 — structured run tracing

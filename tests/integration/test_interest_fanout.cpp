@@ -15,11 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "simcore/simulation.hpp"
 #include "spothost.hpp"
 
 namespace spothost {
@@ -64,8 +64,10 @@ struct CountingSink final : obs::TraceSink {
 /// differential observers.
 class DifferentialFleet {
  public:
-  DifferentialFleet(const sched::Scenario& scenario, const sched::FleetConfig& config)
-      : world_(scenario), clock_(world_.clock()) {
+  DifferentialFleet(const sched::Scenario& scenario, const sched::FleetConfig& config,
+                    sim::QueueBackend backend)
+      : world_(scenario, nullptr, std::make_unique<sim::Simulation>(backend)),
+        clock_(world_.clock()) {
     tracer_.add_sink(&sink_);
     world_.engine().set_tracer(&tracer_);
     fleet_ = std::make_unique<sched::FleetScheduler>(clock_, world_.provider(), config,
@@ -245,15 +247,13 @@ std::string shape_name(Shape shape) {
 }
 
 class InterestDifferential
-    : public ::testing::TestWithParam<std::tuple<Shape, const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<Shape, sim::QueueBackend>> {};
 
 TEST_P(InterestDifferential, WithheldStepsAreNoOps) {
   const auto [shape, backend] = GetParam();
-  ASSERT_EQ(setenv("SPOTHOST_EVENT_QUEUE", backend, 1), 0);
   const Arm arm = make_arm(shape);
-  DifferentialFleet fleet(arm.scenario, arm.config);
+  DifferentialFleet fleet(arm.scenario, arm.config, backend);
   fleet.run();
-  ASSERT_EQ(unsetenv("SPOTHOST_EVENT_QUEUE"), 0);
   // Not vacuous: the index withheld steps; and every visit of the full
   // fan-out was either delivered or re-delivered here.
   EXPECT_GT(fleet.redeliveries(), 0u);
@@ -266,9 +266,11 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Shape::kProactive, Shape::kReactive,
                                          Shape::kPureSpot, Shape::kMultiMarket,
                                          Shape::kForecastPortfolio, Shape::kFaults),
-                       ::testing::Values("wheel", "heap")),
+                       ::testing::Values(sim::QueueBackend::kTimingWheel,
+                                         sim::QueueBackend::kBinaryHeap)),
     [](const ::testing::TestParamInfo<InterestDifferential::ParamType>& arm) {
-      return shape_name(std::get<0>(arm.param)) + "_" + std::get<1>(arm.param);
+      return shape_name(std::get<0>(arm.param)) + "_" +
+             sim::to_string(std::get<1>(arm.param));
     });
 
 TEST(InterestFanout, DeliversAtMostTwoPercentOfFullFanoutVisits) {

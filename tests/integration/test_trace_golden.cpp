@@ -13,12 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "obs/jsonl_sink.hpp"
 #include "obs/sink.hpp"
+#include "simcore/simulation.hpp"
 #include "spothost.hpp"
 
 namespace spothost {
@@ -39,21 +40,51 @@ std::uint64_t fnv1a(const std::string& s) {
   return h;
 }
 
-std::string run_golden_scenario() {
+sched::Scenario golden_scenario() {
   sched::Scenario scenario;
   scenario.seed = 20150615;
   scenario.horizon = 10 * sim::kDay;
   scenario.regions = {"us-east-1a", "us-east-1b"};
   scenario.sizes = {cloud::InstanceSize::kSmall, cloud::InstanceSize::kLarge};
+  return scenario;
+}
+
+sched::SchedulerConfig golden_config() {
   sched::SchedulerConfig cfg =
       sched::proactive_config({"us-east-1a", cloud::InstanceSize::kSmall});
   cfg.scope = sched::MarketScope::kMultiMarket;
+  return cfg;
+}
 
+std::string run_golden_scenario() {
   std::ostringstream os;
   obs::Tracer tracer;
   obs::JsonlSink sink(os);
   tracer.add_sink(&sink);
-  (void)metrics::run_hosting_scenario(scenario, cfg, &tracer, nullptr);
+  (void)metrics::run_hosting_scenario(golden_scenario(), golden_config(),
+                                      &tracer, nullptr);
+  return os.str();
+}
+
+/// run_hosting_scenario's wiring over an injected Simulation on `backend`.
+std::string run_golden_on(sim::QueueBackend backend) {
+  std::ostringstream os;
+  obs::Tracer tracer;
+  obs::JsonlSink sink(os);
+  tracer.add_sink(&sink);
+  sched::World world(golden_scenario(), nullptr,
+                     std::make_unique<sim::Simulation>(backend));
+  workload::AlwaysOnService service("hosted-service", virt::VmSpec{});
+  world.engine().set_tracer(&tracer);
+  service.set_tracer(&tracer);
+  sched::CloudScheduler scheduler(world.clock(), world.provider(), service,
+                                  golden_config(),
+                                  world.stream("scheduler-timing"));
+  scheduler.start();
+  world.engine().run_until(world.horizon());
+  world.provider().finalize(world.horizon());
+  scheduler.finalize(world.horizon());
+  tracer.flush();
   return os.str();
 }
 
@@ -78,11 +109,10 @@ TEST(TraceGolden, ProactiveMultiMarketRunIsByteIdentical) {
 TEST(TraceGolden, HoldsOnBothQueueBackends) {
   // The queue backend is an execution choice: the wheel and the heap oracle
   // must reproduce the same bytes.
-  for (const char* backend : {"wheel", "heap"}) {
-    ASSERT_EQ(setenv("SPOTHOST_EVENT_QUEUE", backend, 1), 0);
-    expect_golden(run_golden_scenario(), backend);
+  for (const auto backend :
+       {sim::QueueBackend::kTimingWheel, sim::QueueBackend::kBinaryHeap}) {
+    expect_golden(run_golden_on(backend), sim::to_string(backend));
   }
-  ASSERT_EQ(unsetenv("SPOTHOST_EVENT_QUEUE"), 0);
 }
 
 // ---- fleet golden: a 5-service checkpointing fleet -------------------------
@@ -103,7 +133,7 @@ struct FleetRun {
   std::string table;  ///< rendered fleet-metrics table
 };
 
-FleetRun run_fleet_golden() {
+FleetRun run_fleet_golden(sim::QueueBackend backend) {
   sched::Scenario scenario;
   scenario.seed = 20150615;
   scenario.horizon = 10 * sim::kDay;
@@ -128,7 +158,8 @@ FleetRun run_fleet_golden() {
   obs::JsonlSink sink(os);
   tracer.add_sink(&sink);
 
-  sched::World world(scenario);
+  sched::World world(scenario, nullptr,
+                     std::make_unique<sim::Simulation>(backend));
   world.engine().set_tracer(&tracer);
   sched::FleetScheduler fleet(world.clock(), world.provider(), cfg,
                               world.rng());
@@ -162,15 +193,15 @@ FleetRun run_fleet_golden() {
 }
 
 TEST(FleetGolden, CkptFleetMatchesCapturedBytes) {
-  for (const char* backend : {"wheel", "heap"}) {
-    ASSERT_EQ(setenv("SPOTHOST_EVENT_QUEUE", backend, 1), 0);
-    const FleetRun run = run_fleet_golden();
-    EXPECT_EQ(run.jsonl.size(), kFleetGoldenBytes) << backend;
-    EXPECT_EQ(count_lines(run.jsonl), kFleetGoldenLines) << backend;
-    EXPECT_EQ(fnv1a(run.jsonl), kFleetGoldenHash) << backend;
-    EXPECT_EQ(run.table, kFleetGoldenTable) << backend;
+  for (const auto backend :
+       {sim::QueueBackend::kTimingWheel, sim::QueueBackend::kBinaryHeap}) {
+    const FleetRun run = run_fleet_golden(backend);
+    const char* name = sim::to_string(backend);
+    EXPECT_EQ(run.jsonl.size(), kFleetGoldenBytes) << name;
+    EXPECT_EQ(count_lines(run.jsonl), kFleetGoldenLines) << name;
+    EXPECT_EQ(fnv1a(run.jsonl), kFleetGoldenHash) << name;
+    EXPECT_EQ(run.table, kFleetGoldenTable) << name;
   }
-  ASSERT_EQ(unsetenv("SPOTHOST_EVENT_QUEUE"), 0);
 }
 
 }  // namespace

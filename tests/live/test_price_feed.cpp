@@ -12,6 +12,7 @@
 #include "live/feed_driver.hpp"
 #include "live/price_feed.hpp"
 #include "live/wall_clock.hpp"
+#include "simcore/simulation.hpp"
 #include "trace/price_trace.hpp"
 
 namespace spothost {
@@ -270,16 +271,14 @@ TEST(FeedDriver, TailedUpdatesReachTheMarketWithBoundedLatency) {
   TempFeedFile f("feed_latency.csv");
   f.append("0,us-east-1a/small,0.10\n");
 
-  live::WallClock::Options o;
-  o.speed = 10000.0;  // virtual time outruns the feed timestamps
-  live::WallClock clock(o);
+  sim::Simulation sim;
   sim::RngFactory rng(1);
-  cloud::CloudProvider provider(clock, rng);
+  cloud::CloudProvider provider(sim, rng);
   provider.add_live_market({"us-east-1a", cloud::InstanceSize::kSmall}, 0.25);
   provider.start();
 
   FileTailFeed feed(f.path());
-  live::FeedDriver driver(clock, provider, feed);
+  live::FeedDriver driver(sim, provider, feed);
   std::chrono::nanoseconds max_latency{0};
   std::size_t delivered = 0;
   driver.set_delivery_hook([&](const PriceUpdate& u) {
@@ -289,6 +288,7 @@ TEST(FeedDriver, TailedUpdatesReachTheMarketWithBoundedLatency) {
   });
   driver.start();
   EXPECT_EQ(driver.primed_markets(), 1u);
+  live::WallClock clock(sim, 10000.0);  // virtual time outruns the feed timestamps
 
   std::thread writer([&f] {
     for (int i = 1; i <= 5; ++i) {

@@ -1,11 +1,14 @@
-// The two-clocks parity contract: replaying a recorded price stream through
-// live::WallClock in fast-replay mode produces the *byte-identical* decision
-// trace the simulation produces from the same prices.
+// The serve parity contract: replaying a recorded price stream through
+// live::FeedDriver into push-fed markets produces the *byte-identical*
+// decision trace the simulation produces from the same prices pre-loaded as
+// traces.
 //
-// This is the license for serving live with the simulated policy layer — any
-// behavioural drift between the sim path (trace-fed SpotMarkets replaying
-// clock events) and the live path (FeedDriver pushing a PriceFeed) shows up
-// here as a one-byte diff.
+// Both sides run on a sim::Simulation (serving on wall time only paces that
+// same loop; see live/wall_clock.hpp), so what this pins is the one thing
+// that can differ: trace-fed SpotMarkets replaying their own clock events
+// against FeedDriver pushing a PriceFeed. Any behavioural drift between the
+// two shows up here as a one-byte diff. This is the license for serving
+// live with the simulated policy layer.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -14,12 +17,12 @@
 #include "live/feed_driver.hpp"
 #include "live/hosting_session.hpp"
 #include "live/price_feed.hpp"
-#include "live/wall_clock.hpp"
 #include "metrics/experiment.hpp"
 #include "obs/jsonl_sink.hpp"
 #include "obs/sink.hpp"
 #include "sched/baselines.hpp"
 #include "sched/market_traces.hpp"
+#include "simcore/simulation.hpp"
 
 namespace spothost {
 namespace {
@@ -48,17 +51,23 @@ std::string sim_trace(const sched::Scenario& scenario,
   return os.str();
 }
 
-std::string live_replay_trace(const sched::Scenario& scenario,
-                              const sched::SchedulerConfig& config,
-                              const sched::MarketTraceSet& traces) {
+struct Replay {
+  std::string jsonl;
+  double total_cost = 0.0;
+};
+
+/// The spothost_serve --mode replay wiring: push-fed markets, prices pushed
+/// by a FeedDriver, the simulation run straight to the horizon.
+Replay live_replay(const sched::Scenario& scenario,
+                   const sched::SchedulerConfig& config,
+                   const sched::MarketTraceSet& traces,
+                   sim::QueueBackend backend = sim::QueueBackend::kTimingWheel) {
   std::ostringstream os;
   obs::Tracer tracer;
   obs::JsonlSink sink(os);
   tracer.add_sink(&sink);
 
-  live::WallClock clock(
-      live::WallClock::Options{live::WallClock::kMaxSpeed, 0,
-                               sim::default_queue_backend()});
+  sim::Simulation engine(backend);
   live::SessionSpec spec;
   spec.seed = scenario.seed;
   spec.grace_period = scenario.grace_period;
@@ -66,20 +75,20 @@ std::string live_replay_trace(const sched::Scenario& scenario,
   for (const auto& entry : traces.markets()) {
     spec.markets.push_back(live::SessionMarket{entry.id, entry.on_demand, nullptr});
   }
-  live::HostingSession session(clock, spec);
+  live::HostingSession session(engine, spec);
   session.attach_tracer(&tracer);
 
   live::TraceReplayFeed feed;
   for (const auto& entry : traces.markets()) {
     feed.add_market(entry.id.str(), &entry.prices);
   }
-  live::FeedDriver driver(clock, session.provider(), feed);
+  live::FeedDriver driver(engine, session.provider(), feed);
   driver.start();
   session.start();
-  clock.run_until(scenario.horizon);
+  engine.run_until(scenario.horizon);
   session.finalize(scenario.horizon);
   tracer.flush();
-  return os.str();
+  return Replay{os.str(), session.provider().ledger().total_cost()};
 }
 
 TEST(ServeParity, FastReplayMatchesSimulationByteForByte) {
@@ -90,11 +99,11 @@ TEST(ServeParity, FastReplayMatchesSimulationByteForByte) {
   const auto traces = sched::MarketTraceSet::generate(scenario);
 
   const std::string sim = sim_trace(scenario, cfg, traces);
-  const std::string live = live_replay_trace(scenario, cfg, *traces);
+  const std::string live = live_replay(scenario, cfg, *traces).jsonl;
 
   ASSERT_FALSE(sim.empty());
   EXPECT_EQ(sim.size(), live.size());
-  EXPECT_EQ(sim, live) << "sim and fast-replay decision streams diverged";
+  EXPECT_EQ(sim, live) << "trace-fed and feed-driven decision streams diverged";
 }
 
 TEST(ServeParity, ParityHoldsAcrossSeedsAndPolicies) {
@@ -103,45 +112,20 @@ TEST(ServeParity, ParityHoldsAcrossSeedsAndPolicies) {
     auto cfg = sched::reactive_config({"us-east-1b", InstanceSize::kLarge});
     const auto traces = sched::MarketTraceSet::generate(scenario);
     EXPECT_EQ(sim_trace(scenario, cfg, traces),
-              live_replay_trace(scenario, cfg, *traces))
+              live_replay(scenario, cfg, *traces).jsonl)
         << "seed " << seed;
   }
 }
 
 TEST(ServeParity, ParityHoldsOnHeapBackend) {
-  // The parity contract is backend-independent: both engines honour the
-  // (time, schedule-seq) determinism contract on either queue.
+  // The push-fed side on an injected heap-oracle Simulation still matches
+  // the trace-fed run: the (time, schedule-seq) contract holds on either
+  // queue.
   const auto scenario = sched::normalized_scenario(parity_scenario(11));
   auto cfg = sched::proactive_config({"us-east-1a", InstanceSize::kSmall});
   const auto traces = sched::MarketTraceSet::generate(scenario);
-
-  std::ostringstream os;
-  obs::Tracer tracer;
-  obs::JsonlSink sink(os);
-  tracer.add_sink(&sink);
-  live::WallClock clock(live::WallClock::Options{
-      live::WallClock::kMaxSpeed, 0, sim::QueueBackend::kBinaryHeap});
-  live::SessionSpec spec;
-  spec.seed = scenario.seed;
-  spec.grace_period = scenario.grace_period;
-  spec.config = cfg;
-  for (const auto& entry : traces->markets()) {
-    spec.markets.push_back(live::SessionMarket{entry.id, entry.on_demand, nullptr});
-  }
-  live::HostingSession session(clock, spec);
-  session.attach_tracer(&tracer);
-  live::TraceReplayFeed feed;
-  for (const auto& entry : traces->markets()) {
-    feed.add_market(entry.id.str(), &entry.prices);
-  }
-  live::FeedDriver driver(clock, session.provider(), feed);
-  driver.start();
-  session.start();
-  clock.run_until(scenario.horizon);
-  session.finalize(scenario.horizon);
-  tracer.flush();
-
-  EXPECT_EQ(sim_trace(scenario, cfg, traces), os.str());
+  EXPECT_EQ(sim_trace(scenario, cfg, traces),
+            live_replay(scenario, cfg, *traces, sim::QueueBackend::kBinaryHeap).jsonl);
 }
 
 TEST(ServeParity, LiveBillingMatchesSimulation) {
@@ -152,28 +136,7 @@ TEST(ServeParity, LiveBillingMatchesSimulation) {
   const auto traces = sched::MarketTraceSet::generate(scenario);
   const auto sim_metrics = metrics::run_hosting_scenario(scenario, cfg, traces,
                                                          nullptr, nullptr);
-
-  live::WallClock clock(live::WallClock::Options{
-      live::WallClock::kMaxSpeed, 0, sim::default_queue_backend()});
-  live::SessionSpec spec;
-  spec.seed = scenario.seed;
-  spec.grace_period = scenario.grace_period;
-  spec.config = cfg;
-  for (const auto& entry : traces->markets()) {
-    spec.markets.push_back(live::SessionMarket{entry.id, entry.on_demand, nullptr});
-  }
-  live::HostingSession session(clock, spec);
-  live::TraceReplayFeed feed;
-  for (const auto& entry : traces->markets()) {
-    feed.add_market(entry.id.str(), &entry.prices);
-  }
-  live::FeedDriver driver(clock, session.provider(), feed);
-  driver.start();
-  session.start();
-  clock.run_until(scenario.horizon);
-  session.finalize(scenario.horizon);
-
-  EXPECT_DOUBLE_EQ(session.provider().ledger().total_cost(),
+  EXPECT_DOUBLE_EQ(live_replay(scenario, cfg, *traces).total_cost,
                    sim_metrics.total_cost);
 }
 

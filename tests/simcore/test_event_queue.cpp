@@ -6,11 +6,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "simcore/simulation.hpp"
 
 namespace spothost::sim {
 namespace {
@@ -287,11 +288,11 @@ TEST(BinaryHeapQueue, SchedulingStaysLiveAfterCompaction) {
 }
 
 TEST(EventQueueFactory, DefaultBackendIsWheel) {
-  // SPOTHOST_EVENT_QUEUE is unset in CI; the default must be the wheel.
-  if (std::getenv("SPOTHOST_EVENT_QUEUE") != nullptr) {
-    GTEST_SKIP() << "SPOTHOST_EVENT_QUEUE overrides the default";
-  }
-  EXPECT_EQ(default_queue_backend(), QueueBackend::kTimingWheel);
+  // No process-wide switch: a default-constructed Simulation is always on
+  // the wheel; the heap oracle has to be injected.
+  EXPECT_EQ(Simulation{}.backend(), QueueBackend::kTimingWheel);
+  EXPECT_EQ(Simulation{QueueBackend::kBinaryHeap}.backend(),
+            QueueBackend::kBinaryHeap);
 }
 
 TEST(EventQueueFactory, MakesRequestedBackend) {

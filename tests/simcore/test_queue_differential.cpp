@@ -3,7 +3,7 @@
 // schedule/cancel/pop sequence; every pop must agree on (time, logical
 // event), every cancel on its return value, and the complete firing order
 // must match event for event. This is the determinism contract that lets
-// SPOTHOST_EVENT_QUEUE switch backends without disturbing golden traces.
+// a Simulation on either backend reproduce the golden traces.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <vector>
 
 namespace spothost::sim {
@@ -110,6 +111,26 @@ TEST(Simulation, RunUntilIsResumable) {
   EXPECT_EQ(seen.size(), 2u);
   s.run_until(1000);
   EXPECT_EQ(seen.size(), 5u);
+}
+
+TEST(Simulation, NextTimeIsNulloptWhenIdle) {
+  Simulation s;
+  EXPECT_FALSE(s.next_time().has_value());
+  s.at(40, [] {});
+  s.run_until(100);
+  EXPECT_FALSE(s.next_time().has_value());
+}
+
+TEST(Simulation, NextTimeSkipsCancelledEarliestEvent) {
+  for (const auto backend : {QueueBackend::kTimingWheel, QueueBackend::kBinaryHeap}) {
+    Simulation s(backend);
+    EventHandle earliest = s.at(10, [] {});
+    s.at(30, [] {});
+    EXPECT_EQ(s.next_time(), std::optional<SimTime>{10}) << to_string(backend);
+    EXPECT_TRUE(earliest.cancel());
+    EXPECT_EQ(s.next_time(), std::optional<SimTime>{30}) << to_string(backend);
+    EXPECT_EQ(s.now(), 0) << to_string(backend);  // a peek runs nothing
+  }
 }
 
 }  // namespace
