@@ -44,10 +44,10 @@ inline sched::Scenario region_scenario(const std::string& region) {
   return s;
 }
 
-/// Sweep harness under the env knobs: declare arms, then run_all(). Seeds
-/// and aggregation match `ExperimentRunner(env_runs(), env_seed())`
-/// exactly, so converting a bench from per-arm runner calls to a sweep
-/// never changes its table.
+/// Sweep harness under the env knobs: declare arms, then run_all(). A
+/// one-arm `run()` on the same runner gives the same table row, so whether
+/// a bench declares its arms or runs them one by one never changes its
+/// numbers.
 inline metrics::SweepRunner default_sweep() {
   return metrics::SweepRunner(env_runs(), env_seed());
 }

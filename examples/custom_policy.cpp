@@ -60,7 +60,7 @@ int main() {
   sched::Scenario scenario;
   scenario.horizon = 30 * sim::kDay;
   scenario.regions = {"us-east-1a"};
-  const metrics::ExperimentRunner runner(5, 321);
+  const metrics::SweepRunner runner(5, 321);
 
   std::cout << "== sweep 1: bid multiple k (proactive, CKPT LR + Live) ==\n\n";
   {
@@ -121,7 +121,7 @@ int main() {
 
   std::cout << "\n== sweep 4: the shipped policy zoo, two-region world ==\n\n";
   {
-    // Same builder seams the custom policy used, stock implementations —
+    // Same config seams the custom policy used, stock implementations —
     // docs/POLICIES.md catalogues the knobs on each.
     sched::Scenario zoo_scenario = scenario;
     zoo_scenario.regions = {"us-east-1a", "us-east-1b"};
@@ -136,10 +136,9 @@ int main() {
     auto base = sched::proactive_config(home);
     base.scope = sched::MarketScope::kMultiRegion;
     run_zoo(base, "scoped (default)");
-    run_zoo(sched::SchedulerConfigBuilder(home)
-                .scope(sched::MarketScope::kMultiRegion)
-                .placement(std::make_shared<const sched::PortfolioPlacementPolicy>())
-                .build(),
+    run_zoo({.scope = sched::MarketScope::kMultiRegion,
+             .home_market = home,
+             .placement = std::make_shared<const sched::PortfolioPlacementPolicy>()},
             "portfolio");
     auto revocation = sched::reactive_config(home);
     revocation.scope = sched::MarketScope::kMultiRegion;

@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
   sched::Scenario scenario;
   scenario.horizon = days * sim::kDay;
 
-  const metrics::ExperimentRunner runner(seeds, base_seed);
+  const metrics::SweepRunner runner(seeds, base_seed);
   const auto agg = runner.run(scenario, config);
 
   std::cout << policy << " " << home.str() << " (" << scope << ", "

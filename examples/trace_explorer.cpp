@@ -64,7 +64,7 @@ int run_timeline(std::uint64_t seed, std::optional<obs::EventKind> only) {
   tracer.add_sink(&jsonl);
 
   obs::RunProfile profile;
-  const auto m = metrics::run_hosting_scenario(scenario, cfg, &tracer, &profile);
+  const auto m = metrics::run_hosting_scenario(scenario, cfg, nullptr, &tracer, &profile);
 
   std::map<std::string_view, int> by_kind;
   int shown = 0;

@@ -8,7 +8,9 @@
 #   2. Liveness: --mode tail against a CSV that a background writer is still
 #      appending to must deliver every update and keep the measured
 #      feed-to-market delivery latency under a bound.
-#   3. Strict numbers: a malformed --seed or --speed exits 2 with usage.
+#   3. Repeated prices: a feed that repeats a price emits the same
+#      price_change events tailed as simulated — a repeat is not a step.
+#   4. Strict numbers: a malformed --seed or --speed exits 2 with usage.
 #
 # Usage: scripts/serve_smoke.sh [build_dir]   (default: build)
 set -euo pipefail
@@ -67,6 +69,33 @@ if [ "$updates" -lt 7 ]; then
   exit 1
 fi
 echo "OK: tailed $updates updates, max delivery latency ${latency}ms"
+
+echo "== repeated prices: tail emits the same price steps as sim =="
+REPEAT="$TMP/repeat.csv"
+cat >"$REPEAT" <<'CSV'
+time_ms,market,price
+0,us-east-1a/small,0.0144
+600000,us-east-1a/small,0.0150
+1200000,us-east-1a/small,0.0150
+1800000,us-east-1a/small,0.0160
+end,2400000
+CSV
+"$SERVE" --feed "$REPEAT" --mode sim --ticks --out "$TMP/repeat_sim.jsonl" \
+  2>"$TMP/repeat_sim.log"
+"$SERVE" --feed "$REPEAT" --mode tail --speed max --ticks --max-wall-s 30 \
+  --out "$TMP/repeat_tail.jsonl" 2>"$TMP/repeat_tail.log"
+grep '"price_change"' "$TMP/repeat_sim.jsonl" >"$TMP/repeat_sim.ticks" || true
+grep '"price_change"' "$TMP/repeat_tail.jsonl" >"$TMP/repeat_tail.ticks" || true
+if ! diff -u "$TMP/repeat_sim.ticks" "$TMP/repeat_tail.ticks"; then
+  echo "FAIL: tail mode turns a repeated price into a price step"
+  exit 1
+fi
+steps=$(wc -l <"$TMP/repeat_sim.ticks")
+if [ "$steps" -ne 2 ]; then
+  echo "FAIL: expected 2 price steps from the repeated-price feed, got $steps"
+  exit 1
+fi
+echo "OK: $steps price steps in both sim and tail mode"
 
 echo "== strict numbers: malformed values exit 2 =="
 for bad in "--seed abc" "--seed -1" "--speed 2x"; do

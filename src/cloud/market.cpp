@@ -116,6 +116,7 @@ void SpotMarket::commit_staged() {
                            id_.str());
   }
   staged_ = false;
+  const bool changed = staged_price_ != live_price_;
   live_price_ = staged_price_;
   // Record for billing. Two updates inside one millisecond collapse to one
   // point with the later price (append requires strictly increasing times).
@@ -125,7 +126,9 @@ void SpotMarket::commit_staged() {
   } else {
     trace_.append(at, staged_price_);
   }
-  dispatch(staged_price_);
+  // A repeated price is not a price step: trace mode never dispatches one
+  // either, because PriceTrace::append merges equal consecutive prices.
+  if (changed) dispatch(staged_price_);
 }
 
 void SpotMarket::push_price(double price) {

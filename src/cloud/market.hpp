@@ -124,7 +124,8 @@ class SpotMarket {
   void stage(sim::SimTime at, double price);
 
   /// Commits the staged price at clock now() (>= the staged time): records
-  /// it in the billing trace and dispatches observers.
+  /// it in the billing trace and, if it differs from the current price,
+  /// dispatches observers.
   void commit_staged();
 
   /// stage(now) + commit_staged(): the immediate-delivery path for feed

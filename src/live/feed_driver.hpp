@@ -10,9 +10,10 @@
 //     trace mode never dispatches the t0 point either) and schedules the
 //     second as a clock event, walking markets in provider registration
 //     order so the (time, schedule-seq) tie-break matches the simulation.
-//   * each chain event commits its staged price (observers fire) and only
-//     then pulls/schedules the next update — mirroring SpotMarket's
-//     "dispatch, then schedule_next" ordering.
+//   * each chain event commits its staged price (observers fire unless the
+//     price repeats, as a trace never holds a repeat) and only then
+//     pulls/schedules the next update — mirroring SpotMarket's "dispatch,
+//     then schedule_next" ordering.
 //   * an update already due when ingested (live tailing after a stall) is
 //     delivered immediately via push_price.
 //

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
-#include "exec/thread_pool.hpp"
-#include "obs/ring_sink.hpp"
 #include "obs/sink.hpp"
 #include "sched/market_selection.hpp"
 
@@ -20,17 +16,6 @@ std::string_view to_string(Execution execution) noexcept {
     case Execution::kParallel: return "parallel";
   }
   return "?";
-}
-
-RunMetrics run_hosting_scenario(const sched::Scenario& scenario,
-                                const sched::SchedulerConfig& config) {
-  return run_hosting_scenario(scenario, config, nullptr, nullptr);
-}
-
-RunMetrics run_hosting_scenario(const sched::Scenario& scenario,
-                                const sched::SchedulerConfig& config,
-                                obs::Tracer* tracer, obs::RunProfile* profile) {
-  return run_hosting_scenario(scenario, config, nullptr, tracer, profile);
 }
 
 RunMetrics run_hosting_scenario(
@@ -118,91 +103,6 @@ Aggregate Aggregate::of(std::span<const double> xs) {
   a.mean = mean;
   a.stddev = std::sqrt(m2 / n);
   return a;
-}
-
-ExperimentRunner::ExperimentRunner(int runs, std::uint64_t base_seed,
-                                   Execution execution)
-    : runs_(runs), base_seed_(base_seed), execution_(execution) {
-  if (runs_ <= 0) throw std::invalid_argument("ExperimentRunner: runs must be > 0");
-}
-
-ExperimentRunner& ExperimentRunner::capture_traces(std::size_t ring_capacity) {
-  if (ring_capacity == 0) {
-    throw std::invalid_argument("capture_traces: ring_capacity must be > 0");
-  }
-  trace_capacity_ = ring_capacity;
-  return *this;
-}
-
-ExperimentRunner& ExperimentRunner::memoize_traces(
-    std::shared_ptr<sched::TraceCache> cache) {
-  trace_cache_ = std::move(cache);
-  return *this;
-}
-
-AggregatedMetrics ExperimentRunner::run(const sched::Scenario& scenario,
-                                        const sched::SchedulerConfig& config) const {
-  auto market_traces = [&](const sched::Scenario& s) {
-    return trace_cache_ ? trace_cache_->get(s)
-                        : std::shared_ptr<const sched::MarketTraceSet>();
-  };
-  if (trace_capacity_ == 0) {
-    return run_indexed([&](int, std::uint64_t seed) {
-      sched::Scenario s = scenario;
-      s.seed = seed;
-      return run_hosting_scenario(s, config, market_traces(s));
-    });
-  }
-  // Trace capture: each seed gets its own tracer + ring buffer; slots are
-  // preassigned by index, so parallel runs never contend.
-  std::vector<SeedTrace> traces(static_cast<std::size_t>(runs_));
-  auto agg = run_indexed([&](int index, std::uint64_t seed) {
-    sched::Scenario s = scenario;
-    s.seed = seed;
-    obs::Tracer tracer;
-    obs::RingBufferSink ring(trace_capacity_);
-    tracer.add_sink(&ring);
-    SeedTrace& slot = traces[static_cast<std::size_t>(index)];
-    slot.seed = seed;
-    RunMetrics rm =
-        run_hosting_scenario(s, config, market_traces(s), &tracer, &slot.profile);
-    slot.events = ring.events();
-    slot.dropped = ring.dropped();
-    return rm;
-  });
-  agg.traces = std::move(traces);
-  return agg;
-}
-
-AggregatedMetrics ExperimentRunner::run_with(
-    const std::function<RunMetrics(std::uint64_t seed)>& body) const {
-  return run_indexed([&body](int, std::uint64_t seed) { return body(seed); });
-}
-
-AggregatedMetrics ExperimentRunner::run_indexed(
-    const std::function<RunMetrics(int index, std::uint64_t seed)>& body) const {
-  std::vector<RunMetrics> results(static_cast<std::size_t>(runs_));
-  if (execution_ == Execution::kParallel) {
-    // Bounded fan-out: every run is one task on the shared fixed-size pool,
-    // so peak thread count is SPOTHOST_THREADS no matter how many runs.
-    // Results land in preassigned seed-order slots, making the aggregate
-    // bit-identical to serial execution.
-    auto& pool = exec::ThreadPool::shared();
-    std::vector<std::future<RunMetrics>> futures;
-    futures.reserve(static_cast<std::size_t>(runs_));
-    for (int i = 0; i < runs_; ++i) {
-      const std::uint64_t seed = run_seed(base_seed_, i);
-      futures.push_back(pool.submit([&body, i, seed] { return body(i, seed); }));
-    }
-    for (int i = 0; i < runs_; ++i) {
-      results[static_cast<std::size_t>(i)] = futures[static_cast<std::size_t>(i)].get();
-    }
-  } else {
-    for (int i = 0; i < runs_; ++i) {
-      results[static_cast<std::size_t>(i)] = body(i, run_seed(base_seed_, i));
-    }
-  }
-  return aggregate_runs(std::move(results));
 }
 
 AggregatedMetrics aggregate_runs(std::vector<RunMetrics> results) {

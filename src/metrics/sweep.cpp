@@ -1,5 +1,6 @@
 #include "metrics/sweep.hpp"
 
+#include <exception>
 #include <future>
 #include <stdexcept>
 #include <utility>
@@ -24,7 +25,18 @@ int SweepRunner::add_arm(std::string label, sched::Scenario scenario,
 }
 
 std::vector<AggregatedMetrics> SweepRunner::run_all() const {
-  const std::size_t n_arms = arms_.size();
+  return run_arms(arms_);
+}
+
+AggregatedMetrics SweepRunner::run(const sched::Scenario& scenario,
+                                   const sched::SchedulerConfig& config) const {
+  const SweepArm arm{{}, scenario, config};
+  return std::move(run_arms({&arm, 1}).front());
+}
+
+std::vector<AggregatedMetrics> SweepRunner::run_arms(
+    std::span<const SweepArm> arms) const {
+  const std::size_t n_arms = arms.size();
   const std::size_t n_runs = static_cast<std::size_t>(runs_);
   std::vector<std::vector<RunMetrics>> results(n_arms);
   for (auto& arm_results : results) arm_results.resize(n_runs);
@@ -47,19 +59,28 @@ std::vector<AggregatedMetrics> SweepRunner::run_all() const {
     for (std::size_t a = 0; a < n_arms; ++a) {
       for (int i = 0; i < runs_; ++i) {
         futures.push_back(
-            pool.submit([&cell, this, a, i] { return cell(arms_[a], i); }));
+            pool.submit([&cell, &arm = arms[a], i] { return cell(arm, i); }));
       }
     }
+    // Queued cells reference `cell`, `arms` and the cache, so every future
+    // is waited on before an error may unwind this frame; the first error
+    // in (arm, seed) order wins, as it would serially.
+    std::exception_ptr first_error;
     std::size_t f = 0;
     for (std::size_t a = 0; a < n_arms; ++a) {
       for (std::size_t i = 0; i < n_runs; ++i) {
-        results[a][i] = futures[f++].get();
+        try {
+          results[a][i] = futures[f++].get();
+        } catch (...) {
+          if (!first_error) first_error = std::current_exception();
+        }
       }
     }
+    if (first_error) std::rethrow_exception(first_error);
   } else {
     for (std::size_t a = 0; a < n_arms; ++a) {
       for (int i = 0; i < runs_; ++i) {
-        results[a][static_cast<std::size_t>(i)] = cell(arms_[a], i);
+        results[a][static_cast<std::size_t>(i)] = cell(arms[a], i);
       }
     }
   }

@@ -1,20 +1,21 @@
-// Sweep execution engine: declare every configuration arm of a figure or
-// ablation up front, then fan all (arm x seed) cells across the shared
-// worker pool at once.
+// Sweep execution engine, the one multi-seed runner: declare every
+// configuration arm of a figure or ablation up front, then fan all
+// (arm x seed) cells across the shared worker pool at once.
 //
-// Compared with calling ExperimentRunner once per arm, a sweep
-//   * keeps the machine busy across arm boundaries — the pool schedules
-//     arms*runs cells instead of draining between arms, and
-//   * memoizes market traces — cells that share (scenario, seed) share one
-//     generated MarketTraceSet (fig08 regenerates each region's traces six
-//     times without this).
-// Per-cell seeds (run_seed) and aggregation (aggregate_runs) are exactly
-// ExperimentRunner's, so every printed table is byte-identical to the
-// serial per-arm harness.
+//   * The pool schedules arms*runs cells instead of draining between arms,
+//     so worker threads stay busy across arm boundaries.
+//   * Market traces are memoized: cells that share (scenario, seed) share
+//     one generated MarketTraceSet (fig08 regenerates each region's traces
+//     six times without this).
+//   * run() takes one undeclared arm through the same cell and fan-out code,
+//     so its aggregate is bit-identical to that arm's entry in run_all().
+// Per-cell seeds come from run_seed and aggregation from aggregate_runs, so
+// every printed table is byte-identical to serial execution.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,11 +54,17 @@ class SweepRunner {
 
   /// Runs every (arm x seed) cell — all at once on the shared pool under
   /// Execution::kParallel — and returns per-arm aggregates in add_arm
-  /// order. Callable repeatedly; traces stay memoized across calls.
+  /// order. Callable repeatedly; traces stay memoized across calls. If
+  /// cells throw, every cell still finishes before the first error in
+  /// (arm, seed) order is rethrown.
   [[nodiscard]] std::vector<AggregatedMetrics> run_all() const;
 
-  /// The cache backing this sweep's market-trace memoization. Shared with
-  /// any ExperimentRunner via memoize_traces() to pool generations.
+  /// Runs `config` against every seed of `scenario` without declaring an
+  /// arm: same cells, trace cache and error handling as run_all().
+  [[nodiscard]] AggregatedMetrics run(const sched::Scenario& scenario,
+                                      const sched::SchedulerConfig& config) const;
+
+  /// The cache backing this sweep's market-trace memoization.
   [[nodiscard]] const std::shared_ptr<sched::TraceCache>& trace_cache()
       const noexcept {
     return cache_;
@@ -70,6 +77,10 @@ class SweepRunner {
       const sched::Scenario& scenario, int run_index = 0) const;
 
  private:
+  /// Runs every (arm x seed) cell of `arms` and aggregates per arm.
+  [[nodiscard]] std::vector<AggregatedMetrics> run_arms(
+      std::span<const SweepArm> arms) const;
+
   int runs_;
   std::uint64_t base_seed_;
   Execution execution_;

@@ -1,5 +1,7 @@
 #include "sched/baselines.hpp"
 
+#include <utility>
+
 #include "cloud/billing.hpp"
 
 namespace spothost::sched {
@@ -10,25 +12,22 @@ double on_demand_only_cost(const cloud::CloudProvider& provider,
 }
 
 SchedulerConfig reactive_config(cloud::MarketId home_market) {
-  return SchedulerConfigBuilder(std::move(home_market))
-      .bid({.mode = BiddingMode::kReactive})
-      .scope(MarketScope::kSingleMarket)
-      .build();
+  return {.bid = {.mode = BiddingMode::kReactive},
+          .scope = MarketScope::kSingleMarket,
+          .home_market = std::move(home_market)};
 }
 
 SchedulerConfig proactive_config(cloud::MarketId home_market) {
-  return SchedulerConfigBuilder(std::move(home_market))
-      .bid({.mode = BiddingMode::kProactive, .proactive_multiple = 4.0})
-      .scope(MarketScope::kSingleMarket)
-      .build();
+  return {.bid = {.mode = BiddingMode::kProactive, .proactive_multiple = 4.0},
+          .scope = MarketScope::kSingleMarket,
+          .home_market = std::move(home_market)};
 }
 
 SchedulerConfig pure_spot_config(cloud::MarketId home_market) {
-  return SchedulerConfigBuilder(std::move(home_market))
-      .bid({.mode = BiddingMode::kReactive})  // bid = p_on
-      .scope(MarketScope::kSingleMarket)
-      .fallback(Fallback::kPureSpot)
-      .build();
+  return {.bid = {.mode = BiddingMode::kReactive},  // bid = p_on
+          .scope = MarketScope::kSingleMarket,
+          .home_market = std::move(home_market),
+          .fallback = Fallback::kPureSpot};
 }
 
 }  // namespace spothost::sched

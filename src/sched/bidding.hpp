@@ -10,10 +10,9 @@
 //    voluntary migration commits still forces it.
 //
 // Dynamic strategies plug in behind the BidStrategy seam
-// (SchedulerConfig::bidding / SchedulerConfigBuilder::bidding): the
-// scheduler and every placement policy route bids through
-// bid_strategy_for(config), so a strategy can derive bids from committed
-// market history instead of a static multiple. ForecastBidPolicy below is
+// (SchedulerConfig::bidding): the scheduler and every placement policy
+// route bids through bid_strategy_for(config), so a strategy can derive
+// bids from committed market history instead of a static multiple. ForecastBidPolicy below is
 // the shipped example. See docs/POLICIES.md for the policy author's guide.
 #pragma once
 

@@ -11,9 +11,9 @@
 //    at the bid the scheduler would actually place there, derived from
 //    trailing crossing statistics (trace::extract_features).
 //
-// Both plug in through SchedulerConfigBuilder::placement(...) and follow
-// the full PlacementPolicy contract (exclude/avoid/price ceiling, const
-// purity, no RNG, no wall clock). docs/POLICIES.md is the author's guide;
+// Both plug in through SchedulerConfig::placement and follow the full
+// PlacementPolicy contract (exclude/avoid/price ceiling, const purity, no
+// RNG, no wall clock). docs/POLICIES.md is the author's guide;
 // bench_ablation_policies places every shipped policy on a cost-vs-
 // unavailability frontier.
 #pragma once

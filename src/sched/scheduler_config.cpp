@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <utility>
 
 #include "obs/counter_sink.hpp"
 
@@ -99,121 +98,6 @@ void SchedulerConfig::validate() const {
         std::to_string(retry.backoff_base_s) + ")");
   }
 }
-
-SchedulerConfig SchedulerConfig::validated() const {
-  validate();
-  return *this;
-}
-
-SchedulerConfigBuilder::SchedulerConfigBuilder(cloud::MarketId home_market) {
-  cfg_.home_market = std::move(home_market);
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::bid(BidPolicy policy) {
-  cfg_.bid = policy;
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::combo(virt::MechanismCombo combo) {
-  cfg_.combo = combo;
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::mechanism_params(
-    virt::MechanismParams params) {
-  cfg_.mech = params;
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::scope(MarketScope scope) {
-  cfg_.scope = scope;
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::allowed_regions(
-    std::vector<std::string> regions) {
-  cfg_.allowed_regions = std::move(regions);
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::fallback(Fallback fallback) {
-  cfg_.fallback = fallback;
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::cancel_planned_on_price_drop(
-    bool cancel) {
-  cfg_.cancel_planned_on_price_drop = cancel;
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::planned_timing(
-    PlannedTiming timing) {
-  cfg_.planned_timing = timing;
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::reverse_price_margin(
-    double margin) {
-  cfg_.reverse_price_margin = margin;
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::timing_jitter_cv(double cv) {
-  cfg_.timing_jitter_cv = cv;
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::vm_spec(virt::VmSpec spec) {
-  cfg_.vm_spec = spec;
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::stability(StabilityPolicy policy) {
-  cfg_.stability = policy;
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::stability_penalty_weight(
-    double weight) {
-  cfg_.stability_penalty_weight = weight;
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::stability_window(
-    sim::SimTime window) {
-  cfg_.stability_window = window;
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::capacity_units_override(int units) {
-  cfg_.capacity_units_override = units;
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::placement(
-    std::shared_ptr<const PlacementPolicy> policy) {
-  cfg_.placement = std::move(policy);
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::bidding(
-    std::shared_ptr<const BidStrategy> strategy) {
-  cfg_.bidding = std::move(strategy);
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::placement_salt(int salt) {
-  cfg_.placement_salt = salt;
-  return *this;
-}
-
-SchedulerConfigBuilder& SchedulerConfigBuilder::retry(RetryPolicy policy) {
-  cfg_.retry = policy;
-  return *this;
-}
-
-SchedulerConfig SchedulerConfigBuilder::build() const { return cfg_.validated(); }
 
 SchedulerStats scheduler_stats_from(const obs::CounterSink& counters) {
   using obs::EventKind;

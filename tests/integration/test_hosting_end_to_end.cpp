@@ -4,7 +4,7 @@
 
 #include <map>
 
-#include "metrics/experiment.hpp"
+#include "metrics/sweep.hpp"
 #include "sched/baselines.hpp"
 
 namespace spothost {
@@ -12,7 +12,7 @@ namespace {
 
 using cloud::InstanceSize;
 using cloud::MarketId;
-using metrics::ExperimentRunner;
+using metrics::SweepRunner;
 using sim::kDay;
 
 const MarketId kHome{"us-east-1a", InstanceSize::kSmall};
@@ -27,7 +27,7 @@ sched::Scenario month() {
 
 class EndToEnd : public ::testing::Test {
  protected:
-  const ExperimentRunner runner_{5, 31337};
+  const SweepRunner runner_{5, 31337};
 };
 
 TEST_F(EndToEnd, HeadlineCostReduction) {

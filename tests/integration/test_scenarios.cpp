@@ -1,7 +1,7 @@
 // Multi-market / multi-region scenario integration tests (Figs. 8 and 9).
 #include <gtest/gtest.h>
 
-#include "metrics/experiment.hpp"
+#include "metrics/sweep.hpp"
 #include "sched/baselines.hpp"
 
 namespace spothost {
@@ -9,7 +9,7 @@ namespace {
 
 using cloud::InstanceSize;
 using cloud::MarketId;
-using metrics::ExperimentRunner;
+using metrics::SweepRunner;
 using sim::kDay;
 
 sched::Scenario two_region_scenario() {
@@ -21,7 +21,7 @@ sched::Scenario two_region_scenario() {
 
 class Scenarios : public ::testing::Test {
  protected:
-  const ExperimentRunner runner_{4, 2024};
+  const SweepRunner runner_{4, 2024};
 };
 
 TEST_F(Scenarios, MultiRegionRunsAndSavesMoney) {

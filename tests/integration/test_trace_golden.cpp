@@ -62,7 +62,7 @@ std::string run_golden_scenario() {
   obs::JsonlSink sink(os);
   tracer.add_sink(&sink);
   (void)metrics::run_hosting_scenario(golden_scenario(), golden_config(),
-                                      &tracer, nullptr);
+                                      nullptr, &tracer);
   return os.str();
 }
 

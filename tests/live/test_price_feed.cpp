@@ -8,6 +8,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "live/feed_driver.hpp"
 #include "live/price_feed.hpp"
@@ -315,6 +316,40 @@ TEST(FeedDriver, TailedUpdatesReachTheMarketWithBoundedLatency) {
   // Bounded decision latency: with a 1 ms pump cadence, delivery should be
   // near-instant; 5 s absorbs the worst CI scheduling hiccup.
   EXPECT_LT(max_latency, std::chrono::seconds{5});
+}
+
+TEST(FeedDriver, RepeatedPriceIsDeliveredButNotAPriceStep) {
+  // A repeated row is billed and counted as delivered, but observers see
+  // only actual changes — as in trace mode, where PriceTrace::append merges
+  // the repeat. Both delivery paths: scheduled commits (the feed is ahead of
+  // the clock) and immediate pushes (the clock already passed every row).
+  for (const sim::SimTime start_at : {sim::SimTime{0}, sim::SimTime{5000}}) {
+    SCOPED_TRACE(start_at);
+    TempFeedFile f("feed_repeat.csv");
+    f.append("0,us-east-1a/small,0.0144\n1000,us-east-1a/small,0.0150\n"
+             "2000,us-east-1a/small,0.0150\n3000,us-east-1a/small,0.0160\n"
+             "end,4000\n");
+
+    sim::Simulation sim;
+    sim::RngFactory rng(1);
+    cloud::CloudProvider provider(sim, rng);
+    const cloud::MarketId id{"us-east-1a", cloud::InstanceSize::kSmall};
+    provider.add_live_market(id, 0.25);
+    provider.start();
+    std::vector<double> steps;
+    provider.market(id).subscribe(
+        [&steps](const cloud::SpotMarket&, double price) { steps.push_back(price); });
+
+    FileTailFeed feed(f.path());
+    live::FeedDriver driver(sim, provider, feed);
+    sim.run_until(start_at);
+    driver.start();
+    sim.run_until(6000);
+
+    EXPECT_TRUE(driver.done());
+    EXPECT_EQ(driver.delivered(), 3u);
+    EXPECT_EQ(steps, (std::vector<double>{0.0150, 0.0160}));
+  }
 }
 
 }  // namespace

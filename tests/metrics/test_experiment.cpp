@@ -4,6 +4,8 @@
 
 #include <array>
 
+#include "metrics/sweep.hpp"
+
 namespace spothost::metrics {
 namespace {
 
@@ -34,79 +36,10 @@ TEST(Aggregate, EmptyIsZero) {
   EXPECT_DOUBLE_EQ(a.stddev, 0.0);
 }
 
-TEST(ExperimentRunner, RejectsZeroRuns) {
-  EXPECT_THROW(ExperimentRunner(0), std::invalid_argument);
-}
-
-TEST(ExperimentRunner, RunsProduceAggregates) {
-  const ExperimentRunner runner(3, 500, Execution::kParallel);
-  const auto cfg = sched::proactive_config(
-      {"us-east-1a", InstanceSize::kSmall});
-  const auto agg = runner.run(small_scenario(), cfg);
-  EXPECT_EQ(agg.runs, 3);
-  EXPECT_EQ(agg.per_run.size(), 3u);
-  EXPECT_GT(agg.normalized_cost_pct.mean, 5.0);
-  EXPECT_LT(agg.normalized_cost_pct.mean, 70.0);
-  EXPECT_GE(agg.unavailability_pct.mean, 0.0);
-}
-
-TEST(ExperimentRunner, ParallelMatchesSerial) {
-  const auto cfg = sched::proactive_config(
-      {"us-east-1a", InstanceSize::kSmall});
-  const auto par =
-      ExperimentRunner(3, 500, Execution::kParallel).run(small_scenario(), cfg);
-  const auto ser =
-      ExperimentRunner(3, 500, Execution::kSerial).run(small_scenario(), cfg);
-  EXPECT_DOUBLE_EQ(par.normalized_cost_pct.mean, ser.normalized_cost_pct.mean);
-  EXPECT_DOUBLE_EQ(par.unavailability_pct.mean, ser.unavailability_pct.mean);
-  EXPECT_DOUBLE_EQ(par.forced_per_hour.mean, ser.forced_per_hour.mean);
-}
-
-TEST(ExperimentRunner, RunWithCustomBody) {
-  const ExperimentRunner runner(4, 1, Execution::kSerial);
-  int calls = 0;
-  const auto agg = runner.run_with([&](std::uint64_t seed) {
-    ++calls;
-    RunMetrics m;
-    m.normalized_cost_pct = static_cast<double>(seed % 10);
-    return m;
-  });
-  EXPECT_EQ(calls, 4);
-  EXPECT_EQ(agg.per_run.size(), 4u);
-}
-
-TEST(ExperimentRunner, CaptureTracesReportsPerSeedInSeedOrder) {
-  const auto cfg = sched::proactive_config(
-      {"us-east-1a", InstanceSize::kSmall});
-  ExperimentRunner runner(3, 500, Execution::kParallel);
-  runner.capture_traces(1 << 14);
-  const auto agg = runner.run(small_scenario(), cfg);
-  ASSERT_EQ(agg.traces.size(), 3u);
-  for (std::size_t i = 0; i < agg.traces.size(); ++i) {
-    const auto& trace = agg.traces[i];
-    EXPECT_EQ(trace.seed, 500u + i * 7919u);
-    EXPECT_FALSE(trace.events.empty());
-    // Events arrive in non-decreasing simulation time.
-    for (std::size_t j = 1; j < trace.events.size(); ++j) {
-      EXPECT_LE(trace.events[j - 1].t, trace.events[j].t);
-    }
-    EXPECT_GT(trace.profile.events_dispatched, 0u);
-  }
-  // Without opting in, no traces are captured.
-  const auto plain =
-      ExperimentRunner(3, 500, Execution::kParallel).run(small_scenario(), cfg);
-  EXPECT_TRUE(plain.traces.empty());
-}
-
-TEST(ExperimentRunner, CaptureTracesRejectsZeroCapacity) {
-  ExperimentRunner runner(1, 1, Execution::kSerial);
-  EXPECT_THROW(runner.capture_traces(0), std::invalid_argument);
-}
-
 TEST(RunHostingScenario, PureSpotHasWorseAvailabilityThanProactive) {
   // The Fig. 11 headline, as a property over a few seeds.
   const auto scenario = small_scenario();
-  const ExperimentRunner runner(3, 42);
+  const SweepRunner runner(3, 42);
   const auto pro = runner.run(scenario, sched::proactive_config(
                                             {"us-east-1a", InstanceSize::kSmall}));
   const auto spot = runner.run(scenario, sched::pure_spot_config(

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+
+#include "exec/thread_pool.hpp"
 
 namespace spothost::metrics {
 namespace {
@@ -47,7 +50,7 @@ TEST(SweepRunner, RejectsNonPositiveRuns) {
   EXPECT_THROW(SweepRunner(-3), std::invalid_argument);
 }
 
-TEST(SweepRunner, SeedsMatchExperimentRunnerDerivation) {
+TEST(SweepRunner, SeedsFollowRunSeedDerivation) {
   const SweepRunner sweep(4, 500);
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(sweep.seed_for(i), run_seed(500, i));
@@ -71,18 +74,45 @@ TEST(SweepRunner, ParallelMatchesSerialBitIdentically) {
   }
 }
 
-TEST(SweepRunner, MatchesPerArmExperimentRunner) {
+TEST(SweepRunner, RunsProduceAggregates) {
+  const SweepRunner runner(3, 500, Execution::kParallel);
+  const auto agg = runner.run(small_scenario(), sched::proactive_config(home()));
+  EXPECT_EQ(agg.runs, 3);
+  EXPECT_EQ(agg.per_run.size(), 3u);
+  EXPECT_GT(agg.normalized_cost_pct.mean, 5.0);
+  EXPECT_LT(agg.normalized_cost_pct.mean, 70.0);
+  EXPECT_GE(agg.unavailability_pct.mean, 0.0);
+}
+
+TEST(SweepRunner, RunMatchesDeclaredArm) {
   const auto scenario = small_scenario();
   SweepRunner sweep(3, 500);
   const int pro = sweep.add_arm("pro", scenario, sched::proactive_config(home()));
   const int rea = sweep.add_arm("rea", scenario, sched::reactive_config(home()));
   const auto results = sweep.run_all();
 
-  const ExperimentRunner runner(3, 500);
+  // A fresh runner, so run() generates its own traces rather than reusing
+  // the sweep's memo.
+  const SweepRunner runner(3, 500);
   expect_identical(results[static_cast<std::size_t>(pro)],
                    runner.run(scenario, sched::proactive_config(home())));
   expect_identical(results[static_cast<std::size_t>(rea)],
                    runner.run(scenario, sched::reactive_config(home())));
+}
+
+TEST(SweepRunner, ThrowingCellRethrowsAfterAllCellsFinish) {
+  // A bad arm first, then more good cells than pool threads: the error
+  // surfaces while good cells are still queued. run_all() must wait for
+  // them before it unwinds, or they run on the runner destroyed below.
+  const int runs =
+      2 * static_cast<int>(exec::ThreadPool::shared().thread_count()) + 2;
+  auto runner = std::make_unique<SweepRunner>(runs, 500, Execution::kParallel);
+  auto bad = sched::proactive_config(home());
+  bad.reverse_price_margin = -1.0;
+  runner->add_arm("bad", small_scenario(), bad);
+  runner->add_arm("good", small_scenario(), sched::proactive_config(home()));
+  EXPECT_THROW((void)runner->run_all(), std::invalid_argument);
+  runner.reset();
 }
 
 TEST(SweepRunner, SharesTraceGenerationAcrossArms) {

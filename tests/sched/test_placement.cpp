@@ -147,8 +147,7 @@ TEST_F(PlacementTest, ConfiguredPolicyWinsOverDefault) {
 
 TEST_F(PlacementTest, BuilderCarriesPlacementPolicy) {
   const auto custom = std::make_shared<const CheapestRegionPolicy>();
-  const SchedulerConfig cfg =
-      SchedulerConfigBuilder(kHome).placement(custom).build();
+  const SchedulerConfig cfg{.home_market = kHome, .placement = custom};
   EXPECT_EQ(cfg.placement.get(), custom.get());
 }
 

@@ -142,10 +142,8 @@ TEST(BidStrategySeam, DefaultIsSharedStatic) {
 
 TEST(BidStrategySeam, ConfiguredStrategyWinsAndBuilderCarriesIt) {
   const auto forecast = std::make_shared<const ForecastBidPolicy>();
-  const SchedulerConfig cfg = SchedulerConfigBuilder(kHome)
-                                  .bidding(forecast)
-                                  .placement_salt(7)
-                                  .build();
+  const SchedulerConfig cfg{
+      .home_market = kHome, .bidding = forecast, .placement_salt = 7};
   EXPECT_EQ(bid_strategy_for(cfg).get(), forecast.get());
   EXPECT_EQ(cfg.placement_salt, 7);
 }
@@ -331,7 +329,7 @@ std::string run_jsonl(const Scenario& scenario, const SchedulerConfig& cfg) {
   obs::Tracer tracer;
   obs::JsonlSink sink(os);
   tracer.add_sink(&sink);
-  (void)metrics::run_hosting_scenario(scenario, cfg, &tracer, nullptr);
+  (void)metrics::run_hosting_scenario(scenario, cfg, nullptr, &tracer);
   return os.str();
 }
 

@@ -316,6 +316,22 @@ TEST_F(SchedulerTest, UnknownHomeMarketRejected) {
                std::invalid_argument);
 }
 
+TEST_F(SchedulerTest, InvalidConfigRejected) {
+  // The constructor is the one validation point: every config, preset or
+  // hand-assembled, passes through validate() here.
+  build({{0, 0.02}});
+  SchedulerConfig cfg = proactive_config(kHome);
+  cfg.reverse_price_margin = -1.0;
+  EXPECT_THROW(CloudScheduler(*sim_, *provider_, *service_, cfg,
+                              rng_->stream("t")),
+               std::invalid_argument);
+  const SchedulerConfig no_region{
+      .home_market = MarketId{"", InstanceSize::kSmall}};
+  EXPECT_THROW(CloudScheduler(*sim_, *provider_, *service_, no_region,
+                              rng_->stream("t")),
+               std::invalid_argument);
+}
+
 TEST_F(SchedulerTest, MechanismComboOrderingOnForcedMigration) {
   // One sharp spike; downtime must rank CKPT > CKPT LR >= live combos' forced
   // (live does not help forced, so CKPT ~ CKPT+Live and LR ~ LR+Live).
