@@ -6,9 +6,11 @@
 namespace spothost::cloud {
 
 SpotMarket::SpotMarket(sim::Clock& clock, MarketId id,
-                       trace::PriceTrace price_trace, double on_demand_price_per_hour)
+                       trace::PriceTrace price_trace, double on_demand_price_per_hour,
+                       MarketIndex index)
     : clock_(clock),
       id_(std::move(id)),
+      index_(index),
       trace_(std::move(price_trace)),
       on_demand_price_(on_demand_price_per_hour) {
   if (trace_.empty()) {
@@ -20,9 +22,10 @@ SpotMarket::SpotMarket(sim::Clock& clock, MarketId id,
 }
 
 SpotMarket::SpotMarket(sim::Clock& clock, MarketId id,
-                       double on_demand_price_per_hour)
+                       double on_demand_price_per_hour, MarketIndex index)
     : clock_(clock),
       id_(std::move(id)),
+      index_(index),
       on_demand_price_(on_demand_price_per_hour),
       push_fed_(true) {
   if (on_demand_price_ <= 0) {

@@ -25,6 +25,12 @@ struct MarketId {
   }
 };
 
+/// A market's dense position in its CloudProvider: 0, 1, ... in the order
+/// the markets were added. The hot path (price steps, the fleet's interest
+/// index, instances, the scheduler's holding) carries this instead of the
+/// MarketId, so no per-event string is hashed or copied.
+using MarketIndex = std::uint32_t;
+
 struct MarketIdHash {
   std::size_t operator()(const MarketId& m) const noexcept {
     return std::hash<std::string>{}(m.region) * 31u +
@@ -67,14 +73,17 @@ class SpotMarket {
     virtual void on_price(const SpotMarket& market, double new_price) = 0;
   };
 
-  /// Trace mode: replays `price_trace` (must be non-empty).
+  /// Trace mode: replays `price_trace` (must be non-empty). `index` is the
+  /// market's MarketIndex in its provider.
   SpotMarket(sim::Clock& clock, MarketId id, trace::PriceTrace price_trace,
-             double on_demand_price_per_hour);
+             double on_demand_price_per_hour, MarketIndex index = 0);
 
   /// Push mode: no trace; prices arrive via prime()/stage()/commit_staged().
-  SpotMarket(sim::Clock& clock, MarketId id, double on_demand_price_per_hour);
+  SpotMarket(sim::Clock& clock, MarketId id, double on_demand_price_per_hour,
+             MarketIndex index = 0);
 
   [[nodiscard]] const MarketId& id() const noexcept { return id_; }
+  [[nodiscard]] MarketIndex index() const noexcept { return index_; }
   [[nodiscard]] double on_demand_price() const noexcept { return on_demand_price_; }
 
   /// True if this market is push-fed (no pre-loaded trace).
@@ -137,6 +146,7 @@ class SpotMarket {
 
   sim::Clock& clock_;
   MarketId id_;
+  MarketIndex index_;
   // Trace mode: the replayed trace. Push mode: committed prices so far.
   trace::PriceTrace trace_;
   // This market's read position in its trace. A SpotMarket lives inside one

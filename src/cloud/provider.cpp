@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "faults/injector.hpp"
 #include "obs/sink.hpp"
@@ -12,11 +13,11 @@ namespace spothost::cloud {
 namespace {
 
 obs::TraceEvent provider_event(obs::EventKind kind, sim::SimTime t,
-                               const MarketId& market) {
+                               const std::string& market) {
   obs::TraceEvent e;
   e.t = t;
   e.kind = kind;
-  e.market = market.str();
+  e.market = market;
   return e;
 }
 
@@ -32,279 +33,319 @@ CloudProvider::CloudProvider(sim::Clock& clock,
 void CloudProvider::add_market(MarketId id, trace::PriceTrace price_trace,
                                double od_price) {
   if (started_) throw std::logic_error("CloudProvider: add_market after start");
-  if (markets_.contains(id)) {
+  if (index_.contains(id)) {
     throw std::invalid_argument("CloudProvider: duplicate market " + id.str());
   }
-  auto market_ptr = std::make_unique<SpotMarket>(clock_, id,
-                                                 std::move(price_trace), od_price);
-  adopt_market(std::move(id), std::move(market_ptr));
+  const auto idx = static_cast<MarketIndex>(markets_.size());
+  adopt_market(std::make_unique<SpotMarket>(clock_, std::move(id), std::move(price_trace),
+                                            od_price, idx));
 }
 
 void CloudProvider::add_live_market(MarketId id, double od_price) {
   if (started_) throw std::logic_error("CloudProvider: add_live_market after start");
-  if (markets_.contains(id)) {
+  if (index_.contains(id)) {
     throw std::invalid_argument("CloudProvider: duplicate market " + id.str());
   }
-  auto market_ptr = std::make_unique<SpotMarket>(clock_, id, od_price);
-  adopt_market(std::move(id), std::move(market_ptr));
+  const auto idx = static_cast<MarketIndex>(markets_.size());
+  adopt_market(std::make_unique<SpotMarket>(clock_, std::move(id), od_price, idx));
 }
 
-void CloudProvider::adopt_market(MarketId id, std::unique_ptr<SpotMarket> market_ptr) {
+void CloudProvider::adopt_market(std::unique_ptr<SpotMarket> market_ptr) {
   market_ptr->subscribe(static_cast<SpotMarket::PriceListener*>(this));
-  markets_.emplace(id, std::move(market_ptr));
-  market_order_.push_back(std::move(id));
+  MarketSlot slot;
+  slot.name = market_ptr->id().str();
+  slot.region = region_index(market_ptr->id().region);
+  index_.emplace(market_ptr->id(), market_ptr->index());
+  slot.market = std::move(market_ptr);
+  markets_.push_back(std::move(slot));
+}
+
+const CloudProvider::MarketSlot& CloudProvider::slot(MarketIndex idx) const {
+  if (idx >= markets_.size()) {
+    throw std::out_of_range("CloudProvider: unknown market index " + std::to_string(idx));
+  }
+  return markets_[idx];
+}
+
+CloudProvider::MarketSlot& CloudProvider::slot(MarketIndex idx) {
+  return const_cast<MarketSlot&>(std::as_const(*this).slot(idx));
+}
+
+std::uint32_t CloudProvider::region_index(const std::string& region) {
+  for (std::size_t r = 0; r < regions_.size(); ++r) {
+    if (regions_[r].name == region) return static_cast<std::uint32_t>(r);
+  }
+  regions_.push_back(Region{region, std::nullopt, nullptr});
+  return static_cast<std::uint32_t>(regions_.size() - 1);
 }
 
 void CloudProvider::set_allocation_latency(const std::string& region,
                                            AllocationLatency latency) {
-  latency_by_region_[region] = latency;
+  regions_[region_index(region)].latency = latency;
 }
 
 AllocationLatency CloudProvider::allocation_latency(const std::string& region) const {
-  const auto it = latency_by_region_.find(region);
-  return it != latency_by_region_.end() ? it->second : AllocationLatency{};
+  for (const Region& r : regions_) {
+    if (r.name == region) return r.latency.value_or(AllocationLatency{});
+  }
+  return AllocationLatency{};
+}
+
+AllocationLatency CloudProvider::allocation_latency(MarketIndex market) const {
+  return regions_[slot(market).region].latency.value_or(AllocationLatency{});
 }
 
 void CloudProvider::start() {
   if (started_) throw std::logic_error("CloudProvider::start called twice");
   started_ = true;
-  for (const auto& id : market_order_) {
-    markets_.at(id)->start();
-  }
+  for (const MarketSlot& m : markets_) m.market->start();
 }
 
-SpotMarket& CloudProvider::market(const MarketId& id) {
-  const auto it = markets_.find(id);
-  if (it == markets_.end()) {
+MarketIndex CloudProvider::index(const MarketId& id) const {
+  const auto it = index_.find(id);
+  if (it == index_.end()) {
     throw std::out_of_range("CloudProvider: unknown market " + id.str());
   }
-  return *it->second;
+  return it->second;
 }
+
+SpotMarket& CloudProvider::market(const MarketId& id) { return market(index(id)); }
 
 const SpotMarket& CloudProvider::market(const MarketId& id) const {
-  const auto it = markets_.find(id);
-  if (it == markets_.end()) {
-    throw std::out_of_range("CloudProvider: unknown market " + id.str());
-  }
-  return *it->second;
+  return market(index(id));
 }
 
-bool CloudProvider::has_market(const MarketId& id) const {
-  return markets_.contains(id);
-}
+bool CloudProvider::has_market(const MarketId& id) const { return index_.contains(id); }
 
 std::vector<MarketId> CloudProvider::all_markets() const {
-  return market_order_;
+  std::vector<MarketId> out;
+  out.reserve(markets_.size());
+  for (const MarketSlot& m : markets_) out.push_back(m.market->id());
+  return out;
 }
 
 std::vector<MarketId> CloudProvider::markets_in_region(const std::string& region) const {
   std::vector<MarketId> out;
-  for (const auto& id : market_order_) {
-    if (id.region == region) out.push_back(id);
+  for (const MarketSlot& m : markets_) {
+    if (m.market->id().region == region) out.push_back(m.market->id());
   }
   return out;
 }
 
 std::vector<std::string> CloudProvider::regions() const {
   std::vector<std::string> out;
-  for (const auto& id : market_order_) {
-    if (std::find(out.begin(), out.end(), id.region) == out.end()) {
-      out.push_back(id.region);
-    }
+  for (const MarketSlot& m : markets_) {
+    const std::string& region = m.market->id().region;
+    if (std::find(out.begin(), out.end(), region) == out.end()) out.push_back(region);
   }
   return out;
 }
 
 InstanceId CloudProvider::request_on_demand(const MarketId& id, ReadyCallback on_ready,
                                             FailCallback on_fail) {
-  (void)market(id);  // validate
-  const InstanceId iid = next_instance_++;
+  return request_on_demand(index(id), std::move(on_ready), std::move(on_fail));
+}
+
+InstanceId CloudProvider::request_on_demand(MarketIndex market, ReadyCallback on_ready,
+                                            FailCallback on_fail) {
+  const MarketSlot& m = slot(market);
+  const auto iid = static_cast<InstanceId>(instances_.size() + 1);
   if (auto* tracer = clock_.tracer(); tracer && tracer->enabled()) {
-    auto e = provider_event(obs::EventKind::kBidPlaced, clock_.now(), id);
+    auto e = provider_event(obs::EventKind::kBidPlaced, clock_.now(), m.name);
     e.code = obs::code::kOnDemand;
     e.instance = iid;
-    e.value = od_price(id);
+    e.value = m.market->on_demand_price();
     tracer->emit(e);
   }
-  Instance inst;
-  inst.id = iid;
-  inst.market = id;
-  inst.mode = BillingMode::kOnDemand;
-  inst.requested_at = clock_.now();
-  instances_.emplace(iid, inst);
-
-  const AllocationLatency lat = allocation_latency(id.region);
-  auto& rng = latency_rng_[id.region];
-  if (!rng) {
-    rng = std::make_unique<sim::RngStream>(
-        rng_factory_.stream("alloc-latency/" + id.region));
-  }
-  const double delay_s = rng->lognormal_mean_cv(lat.on_demand_mean_s, lat.on_demand_cv);
-
-  Pending pending;
-  pending.on_ready = std::move(on_ready);
-  pending.on_fail = std::move(on_fail);
-  pending.event = clock_.after(sim::from_seconds(delay_s),
-                                    [this, iid] { complete_grant(iid); });
-  pending_.emplace(iid, std::move(pending));
-  return iid;
+  return issue(market, BillingMode::kOnDemand, 0.0, std::move(on_ready),
+               std::move(on_fail));
 }
 
 InstanceId CloudProvider::request_spot(const MarketId& id, double bid,
                                        ReadyCallback on_ready, FailCallback on_fail) {
+  return request_spot(index(id), bid, std::move(on_ready), std::move(on_fail));
+}
+
+InstanceId CloudProvider::request_spot(MarketIndex market, double bid,
+                                       ReadyCallback on_ready, FailCallback on_fail) {
   if (bid <= 0) throw std::invalid_argument("request_spot: bid must be > 0");
-  (void)market(id);
-  const InstanceId iid = next_instance_++;
-  Instance inst;
-  inst.id = iid;
-  inst.market = id;
-  inst.mode = BillingMode::kSpot;
-  inst.bid = bid;
-  inst.requested_at = clock_.now();
-  instances_.emplace(iid, inst);
+  const MarketSlot& m = slot(market);
+  const auto iid = static_cast<InstanceId>(instances_.size() + 1);
   if (auto* tracer = clock_.tracer(); tracer && tracer->enabled()) {
-    auto e = provider_event(obs::EventKind::kBidPlaced, clock_.now(), id);
+    auto e = provider_event(obs::EventKind::kBidPlaced, clock_.now(), m.name);
     e.code = obs::code::kSpot;
     e.instance = iid;
     e.value = bid;
-    e.aux = price(id);
+    e.aux = m.market->price();
     tracer->emit(e);
   }
+  return issue(market, BillingMode::kSpot, bid, std::move(on_ready), std::move(on_fail));
+}
 
-  const AllocationLatency lat = allocation_latency(id.region);
-  auto& rng = latency_rng_[id.region];
-  if (!rng) {
-    rng = std::make_unique<sim::RngStream>(
-        rng_factory_.stream("alloc-latency/" + id.region));
+InstanceId CloudProvider::issue(MarketIndex market, BillingMode mode, double bid,
+                                ReadyCallback on_ready, FailCallback on_fail) {
+  const auto iid = static_cast<InstanceId>(instances_.size() + 1);
+  Record& rec = instances_.emplace_back();
+  rec.inst.id = iid;
+  rec.inst.market = market;
+  rec.inst.mode = mode;
+  rec.inst.bid = bid;
+  rec.inst.requested_at = clock_.now();
+
+  Region& region = regions_[markets_[market].region];
+  const AllocationLatency lat = region.latency.value_or(AllocationLatency{});
+  if (!region.rng) {
+    region.rng = std::make_unique<sim::RngStream>(
+        rng_factory_.stream("alloc-latency/" + region.name));
   }
-  const double delay_s = rng->lognormal_mean_cv(lat.spot_mean_s, lat.spot_cv);
+  const double delay_s = mode == BillingMode::kSpot
+                             ? region.rng->lognormal_mean_cv(lat.spot_mean_s, lat.spot_cv)
+                             : region.rng->lognormal_mean_cv(lat.on_demand_mean_s,
+                                                             lat.on_demand_cv);
 
-  Pending pending;
-  pending.on_ready = std::move(on_ready);
-  pending.on_fail = std::move(on_fail);
-  pending.event = clock_.after(sim::from_seconds(delay_s),
-                                    [this, iid] { complete_grant(iid); });
-  pending_.emplace(iid, std::move(pending));
+  if (free_sides_.empty()) {
+    rec.side = static_cast<std::uint32_t>(sides_.size());
+    sides_.emplace_back();
+  } else {
+    rec.side = free_sides_.back();
+    free_sides_.pop_back();
+  }
+  Side& side = sides_[rec.side];
+  side.on_ready = std::move(on_ready);
+  side.on_fail = std::move(on_fail);
+  side.grant =
+      clock_.after(sim::from_seconds(delay_s), [this, iid] { complete_grant(iid); });
   return iid;
 }
 
+void CloudProvider::release_side(Record& rec) {
+  if (rec.side == kNoSide) return;
+  sides_[rec.side] = Side{};
+  free_sides_.push_back(rec.side);
+  rec.side = kNoSide;
+}
+
 void CloudProvider::complete_grant(InstanceId iid) {
-  auto pit = pending_.find(iid);
-  if (pit == pending_.end()) return;  // cancelled
-  Instance& inst = instance_mut(iid);
+  Record& rec = record(iid);
+  if (rec.inst.state != InstanceState::kPending) return;  // cancelled
+  Instance& inst = rec.inst;
   auto* injector = clock_.fault_injector();
 
   // Injected allocation timeout: the grant takes alloc_timeout_extra_s
   // longer (once per request); price and capacity are re-checked at the new
   // completion time, so a delayed spot grant can still be price-rejected.
-  if (injector != nullptr && !pit->second.delayed &&
+  if (injector != nullptr && !sides_[rec.side].delayed &&
       injector->should_inject(faults::FaultKind::kAllocTimeout,
-                              inst.market.str(), iid)) {
-    pit->second.delayed = true;
-    pit->second.event =
+                              markets_[inst.market].name, iid)) {
+    Side& side = sides_[rec.side];
+    side.delayed = true;
+    side.grant =
         clock_.after(sim::from_seconds(injector->plan().alloc_timeout_extra_s),
-                          [this, iid] { complete_grant(iid); });
+                     [this, iid] { complete_grant(iid); });
     return;
   }
 
-  Pending p = std::move(pit->second);
-  pending_.erase(pit);
+  // Callbacks leave the side slot before any of them runs: they may issue
+  // requests, which can grow (and move) the side table.
+  Side& side = sides_[rec.side];
+  const ReadyCallback on_ready = std::move(side.on_ready);
+  const FailCallback on_fail = std::move(side.on_fail);
+  side.grant.reset();
 
   // Injected capacity error: the provider has no server to hand out. Only
   // requests that supplied a failure path are eligible — an unobservable
   // failure would silently strand the requester.
-  if (p.on_fail && injector != nullptr &&
+  if (on_fail && injector != nullptr &&
       injector->should_inject(faults::FaultKind::kAllocInsufficientCapacity,
-                              inst.market.str(), iid)) {
+                              markets_[inst.market].name, iid)) {
     inst.state = InstanceState::kTerminated;
+    release_side(rec);
     SPOTHOST_LOG(sim::LogLevel::kDebug, clock_.now(),
                  "request " << iid << " failed: insufficient capacity (injected)");
-    p.on_fail(AllocFailure::kInsufficientCapacity);
+    on_fail(AllocFailure::kInsufficientCapacity);
     return;
   }
 
+  SpotMarket& market = *markets_[inst.market].market;
   if (inst.mode == BillingMode::kSpot) {
-    const double current = price(inst.market);
+    const double current = market.price();
     if (current > inst.bid) {
       inst.state = InstanceState::kTerminated;
+      release_side(rec);
       SPOTHOST_LOG(sim::LogLevel::kDebug, clock_.now(),
                    "spot request " << iid << " rejected: price " << current
                                    << " > bid " << inst.bid);
-      if (p.on_fail) p.on_fail(AllocFailure::kPriceAboveBid);
+      if (on_fail) on_fail(AllocFailure::kPriceAboveBid);
       return;
     }
   }
   inst.state = InstanceState::kRunning;
   inst.launch = clock_.now();
   if (inst.mode == BillingMode::kSpot) {
-    running_spot_[inst.market].emplace(inst.bid, iid);
+    markets_[inst.market].running_spot.emplace(inst.bid, iid);
   }
   if (auto* tracer = clock_.tracer(); tracer && tracer->enabled()) {
     auto e = provider_event(obs::EventKind::kAcquisition, clock_.now(),
-                            inst.market);
+                            markets_[inst.market].name);
     e.instance = iid;
     if (inst.mode == BillingMode::kSpot) {
       e.code = obs::code::kSpot;
-      e.value = price(inst.market);
+      e.value = market.price();
       e.aux = inst.bid;
     } else {
       e.code = obs::code::kOnDemand;
-      e.value = od_price(inst.market);
+      e.value = market.on_demand_price();
     }
     tracer->emit(e);
   }
-  if (p.on_ready) p.on_ready(iid);
+  if (on_ready) on_ready(iid);
 }
 
 void CloudProvider::cancel_request(InstanceId id) {
-  const auto pit = pending_.find(id);
-  if (pit == pending_.end()) return;
-  pit->second.event.cancel();
-  pending_.erase(pit);
-  instance_mut(id).state = InstanceState::kTerminated;
+  if (!issued(id)) return;
+  Record& rec = instances_[static_cast<std::size_t>(id - 1)];
+  if (rec.inst.state != InstanceState::kPending) return;
+  sides_[rec.side].grant.cancel();
+  release_side(rec);
+  rec.inst.state = InstanceState::kTerminated;
 }
 
 void CloudProvider::set_instance_owner(InstanceId id, std::uint64_t owner) {
-  instance_mut(id).owner = owner;
+  record(id).inst.owner = owner;
 }
 
 void CloudProvider::set_revocation_handler(InstanceId id, RevocationHandler handler) {
-  const Instance& inst = instance(id);
-  if (inst.mode != BillingMode::kSpot) {
+  Record& rec = record(id);
+  if (rec.inst.mode != BillingMode::kSpot) {
     throw std::logic_error("set_revocation_handler: not a spot instance");
   }
-  revocation_handlers_[id] = std::move(handler);
+  if (rec.side != kNoSide) sides_[rec.side].on_revocation = std::move(handler);
 }
 
 void CloudProvider::terminate(InstanceId id) {
-  Instance& inst = instance_mut(id);
-  if (inst.state == InstanceState::kPending) {
+  Record& rec = record(id);
+  if (rec.inst.state == InstanceState::kPending) {
     cancel_request(id);
     return;
   }
-  if (inst.state == InstanceState::kTerminated) return;
-  complete_lease(inst, TerminationCause::kCustomer, clock_.now());
+  if (rec.inst.state == InstanceState::kTerminated) return;
+  complete_lease(rec, TerminationCause::kCustomer, clock_.now());
+}
+
+CloudProvider::Record& CloudProvider::record(InstanceId id) {
+  if (!issued(id)) throw std::out_of_range("CloudProvider: unknown instance");
+  return instances_[static_cast<std::size_t>(id - 1)];
 }
 
 const Instance& CloudProvider::instance(InstanceId id) const {
-  const auto it = instances_.find(id);
-  if (it == instances_.end()) {
-    throw std::out_of_range("CloudProvider: unknown instance");
-  }
-  return it->second;
+  if (!issued(id)) throw std::out_of_range("CloudProvider: unknown instance");
+  return instances_[static_cast<std::size_t>(id - 1)].inst;
 }
 
-Instance& CloudProvider::instance_mut(InstanceId id) {
-  const auto it = instances_.find(id);
-  if (it == instances_.end()) {
-    throw std::out_of_range("CloudProvider: unknown instance");
-  }
-  return it->second;
-}
-
-void CloudProvider::on_price_change(const MarketId& id, double new_price) {
+void CloudProvider::on_price_change(MarketIndex market, double new_price) {
+  MarketSlot& m = markets_[market];
   if (auto* tracer = clock_.tracer(); tracer && tracer->enabled()) {
-    auto e = provider_event(obs::EventKind::kPriceChange, clock_.now(), id);
+    auto e = provider_event(obs::EventKind::kPriceChange, clock_.now(), m.name);
     e.value = new_price;
     tracer->emit(e);
   }
@@ -312,21 +353,21 @@ void CloudProvider::on_price_change(const MarketId& id, double new_price) {
   // whose bid is now exceeded. Only the affected instances are visited — a
   // price step never scales with the fleet. Snapshot the ids: handlers may
   // mutate state.
-  std::vector<InstanceId> to_warn;
-  if (const auto rit = running_spot_.find(id); rit != running_spot_.end()) {
-    for (auto it = rit->second.begin(); it != rit->second.end() && it->first < new_price;
-         ++it) {
-      to_warn.push_back(it->second);
-    }
+  std::vector<InstanceId> to_warn = std::move(warn_spare_);
+  to_warn.clear();
+  for (auto it = m.running_spot.begin();
+       it != m.running_spot.end() && it->first < new_price; ++it) {
+    to_warn.push_back(it->second);
   }
   std::sort(to_warn.begin(), to_warn.end());  // deterministic order
   for (const InstanceId iid : to_warn) {
-    Instance& inst = instance_mut(iid);
-    drop_running_spot(inst);
+    Record& rec = record(iid);
+    Instance& inst = rec.inst;
+    m.running_spot.erase({inst.bid, inst.id});
     inst.state = InstanceState::kWarned;
     inst.termination_time = clock_.now() + grace_;
     SPOTHOST_LOG(sim::LogLevel::kDebug, clock_.now(),
-                 "revocation warning for " << iid << " in " << id.str()
+                 "revocation warning for " << iid << " in " << m.name
                                            << ", termination at "
                                            << sim::format_time(inst.termination_time));
 
@@ -337,39 +378,33 @@ void CloudProvider::on_price_change(const MarketId& id, double new_price) {
     // timestamps, FIFO dispatch hands the customer the warning before the
     // provider pulls the server. Instances without a registered handler are
     // never faulted — nobody would observe the difference.
-    const auto hit = revocation_handlers_.find(iid);
-    RevocationHandler handler =
-        (hit != revocation_handlers_.end()) ? hit->second : nullptr;
+    RevocationHandler handler = sides_[rec.side].on_revocation;
     sim::SimTime deliver_at = clock_.now();
     if (handler) {
       if (auto* injector = clock_.fault_injector()) {
-        if (injector->should_inject(faults::FaultKind::kWarningDropped,
-                                    id.str(), iid)) {
+        if (injector->should_inject(faults::FaultKind::kWarningDropped, m.name, iid)) {
           deliver_at = inst.termination_time;
-        } else if (injector->should_inject(faults::FaultKind::kWarningDelayed,
-                                           id.str(), iid)) {
+        } else if (injector->should_inject(faults::FaultKind::kWarningDelayed, m.name,
+                                           iid)) {
           deliver_at = std::min(
-              clock_.now() +
-                  sim::from_seconds(injector->plan().warning_delay_s),
+              clock_.now() + sim::from_seconds(injector->plan().warning_delay_s),
               inst.termination_time);
         }
       }
       if (deliver_at > clock_.now()) {
-        clock_.at(deliver_at,
-                       [handler, iid, t_term = inst.termination_time] {
-                         handler(iid, t_term);
-                       });
+        clock_.at(deliver_at, [handler, iid, t_term = inst.termination_time] {
+          handler(iid, t_term);
+        });
       }
     }
 
     clock_.at(inst.termination_time, [this, iid] {
-      Instance& victim = instance_mut(iid);
-      if (victim.state != InstanceState::kWarned) return;  // customer beat us
+      Record& victim = record(iid);
+      if (victim.inst.state != InstanceState::kWarned) return;  // customer beat us
       complete_lease(victim, TerminationCause::kProviderRevoked, clock_.now());
     });
     if (auto* tracer = clock_.tracer(); tracer && tracer->enabled()) {
-      auto e = provider_event(obs::EventKind::kRevocationWarning,
-                              clock_.now(), id);
+      auto e = provider_event(obs::EventKind::kRevocationWarning, clock_.now(), m.name);
       e.instance = iid;
       e.value = new_price;
       e.aux = sim::to_seconds(inst.termination_time);
@@ -379,57 +414,49 @@ void CloudProvider::on_price_change(const MarketId& id, double new_price) {
       handler(iid, inst.termination_time);
     }
   }
+  to_warn.clear();
+  if (to_warn.capacity() > warn_spare_.capacity()) warn_spare_ = std::move(to_warn);
 }
 
-void CloudProvider::drop_running_spot(const Instance& inst) {
-  const auto rit = running_spot_.find(inst.market);
-  if (rit != running_spot_.end()) rit->second.erase({inst.bid, inst.id});
-}
-
-void CloudProvider::complete_lease(Instance& inst, TerminationCause cause,
+void CloudProvider::complete_lease(Record& rec, TerminationCause cause,
                                    sim::SimTime end) {
+  Instance& inst = rec.inst;
+  MarketSlot& m = markets_[inst.market];
   if (inst.mode == BillingMode::kSpot && inst.state == InstanceState::kRunning) {
-    drop_running_spot(inst);
+    m.running_spot.erase({inst.bid, inst.id});
   }
   BillingRecord record;
   record.instance_id = inst.id;
-  record.market = inst.market;
+  record.market = m.market->id();
   record.mode = inst.mode;
   record.launch = inst.launch;
   record.end = end;
   record.cause = cause;
   record.owner = inst.owner;
   if (inst.mode == BillingMode::kOnDemand) {
-    record.cost = on_demand_cost(od_price(inst.market), inst.launch, end);
+    record.cost = on_demand_cost(m.market->on_demand_price(), inst.launch, end);
   } else {
-    record.cost =
-        spot_cost(market(inst.market).billable_trace(end), inst.launch, end, cause);
+    record.cost = spot_cost(m.market->billable_trace(end), inst.launch, end, cause);
   }
   inst.state = InstanceState::kTerminated;
-  revocation_handlers_.erase(inst.id);
+  release_side(rec);
   ledger_.add(std::move(record));
 }
 
 void CloudProvider::finalize(sim::SimTime at) {
-  // Cancel outstanding requests, then bill running instances.
-  std::vector<InstanceId> pending_ids;
-  pending_ids.reserve(pending_.size());
-  for (const auto& [iid, p] : pending_) {
-    (void)p;
-    pending_ids.push_back(iid);
-  }
-  std::sort(pending_ids.begin(), pending_ids.end());
-  for (const InstanceId iid : pending_ids) cancel_request(iid);
-
-  std::vector<InstanceId> running;
-  for (const auto& [iid, inst] : instances_) {
-    if (inst.state == InstanceState::kRunning || inst.state == InstanceState::kWarned) {
-      running.push_back(iid);
+  // Cancel outstanding requests and bill running instances, in id order.
+  for (Record& rec : instances_) {
+    switch (rec.inst.state) {
+      case InstanceState::kPending:
+        cancel_request(rec.inst.id);
+        break;
+      case InstanceState::kRunning:
+      case InstanceState::kWarned:
+        complete_lease(rec, TerminationCause::kCustomer, at);
+        break;
+      case InstanceState::kTerminated:
+        break;
     }
-  }
-  std::sort(running.begin(), running.end());
-  for (const InstanceId iid : running) {
-    complete_lease(instance_mut(iid), TerminationCause::kCustomer, at);
   }
 }
 

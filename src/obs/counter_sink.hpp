@@ -14,11 +14,15 @@ namespace spothost::obs {
 
 class CounterSink final : public TraceSink {
  public:
-  void on_event(const TraceEvent& event) override {
-    const auto k = static_cast<std::size_t>(event.kind);
+  void on_event(const TraceEvent& event) override { add(event.kind, event.code); }
+
+  /// Counts one (kind, code) event without one being built — the untraced
+  /// emitters' path.
+  void add(EventKind kind, std::uint8_t c) noexcept {
+    const auto k = static_cast<std::size_t>(kind);
     if (k >= kEventKindCount) return;
     ++totals_[k];
-    if (event.code < kMaxCodes) ++by_code_[k][event.code];
+    if (c < kMaxCodes) ++by_code_[k][c];
   }
 
   /// Events of `kind`, any code.

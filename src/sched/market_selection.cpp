@@ -25,12 +25,17 @@ std::string_view to_string(StabilityPolicy policy) noexcept {
 
 double effective_spot_price(const cloud::CloudProvider& provider,
                             const cloud::MarketId& market, int units_needed) {
+  return effective_spot_price(provider, provider.index(market), units_needed);
+}
+
+double effective_spot_price(const cloud::CloudProvider& provider,
+                            cloud::MarketIndex market, int units_needed) {
   if (units_needed <= 0) {
     throw std::invalid_argument("effective_spot_price: units_needed must be > 0");
   }
-  const int capacity = cloud::type_info(market.size).capacity_units;
-  return provider.price(market) * static_cast<double>(units_needed) /
-         static_cast<double>(capacity);
+  const cloud::SpotMarket& m = provider.market(market);
+  const int capacity = cloud::type_info(m.id().size).capacity_units;
+  return m.price() * static_cast<double>(units_needed) / static_cast<double>(capacity);
 }
 
 double effective_on_demand_price(const cloud::CloudProvider& provider,

@@ -33,6 +33,8 @@ std::string_view to_string(StabilityPolicy policy) noexcept;
 /// Effective $/hr to host the service on `market` at its current spot price.
 double effective_spot_price(const cloud::CloudProvider& provider,
                             const cloud::MarketId& market, int units_needed);
+double effective_spot_price(const cloud::CloudProvider& provider,
+                            cloud::MarketIndex market, int units_needed);
 
 /// Effective $/hr of the on-demand fallback of the home size in `region`.
 double effective_on_demand_price(const cloud::CloudProvider& provider,

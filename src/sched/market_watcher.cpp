@@ -28,30 +28,32 @@ MarketWatcher::ListenerId MarketWatcher::add_listener(TriggerListener* listener)
 void MarketWatcher::remove_listener(ListenerId id) {
   if (!alive(id)) return;
   Slot& slot = slots_[static_cast<std::size_t>(id - 1)];
-  for (const Watch& w : slot.watched) unfile(id, slot, w);
+  for (const Watch& w : slot.watched) unfile(slot.interest, w);
   slot = Slot{};
   --live_listeners_;
 }
 
 void MarketWatcher::watch(ListenerId id, const std::vector<cloud::MarketId>& markets) {
   if (!alive(id)) return;
-  Slot& slot = slots_[static_cast<std::size_t>(id - 1)];
   for (const auto& market : markets) {
-    auto it = markets_.find(market);
-    if (it == markets_.end()) {
+    const cloud::MarketIndex idx = provider_.index(market);
+    if (idx >= markets_.size()) markets_.resize(idx + 1);
+    Book& book = markets_[idx];
+    if (!book.subscribed) {
       // First interest in this market: subscribe the one shared provider
       // feed. Later listeners piggyback on the same subscription.
-      provider_.market(market).subscribe(
+      provider_.market(idx).subscribe(
           static_cast<cloud::SpotMarket::PriceListener*>(this));
-      it = markets_.emplace(market, MarketIndex{market, {}, {}}).first;
+      book.subscribed = true;
+      ++subscriptions_;
     }
-    MarketIndex* index = &it->second;
+    Slot& slot = slots_[static_cast<std::size_t>(id - 1)];
     if (std::any_of(slot.watched.begin(), slot.watched.end(),
-                    [index](const Watch& w) { return w.market == index; })) {
+                    [idx](const Watch& w) { return w.market == idx; })) {
       continue;
     }
-    slot.watched.push_back(Watch{index, next_seq_++});
-    file(id, slot, slot.watched.back());
+    slot.watched.push_back(Watch{idx, next_seq_++});
+    file(id, slot.interest, slot.watched.back());
   }
 }
 
@@ -59,47 +61,60 @@ void MarketWatcher::set_interest(ListenerId id, Interest interest) {
   if (!alive(id)) return;
   Slot& slot = slots_[static_cast<std::size_t>(id - 1)];
   if (slot.interest == interest) return;
-  for (const Watch& w : slot.watched) unfile(id, slot, w);
-  slot.interest = std::move(interest);
-  for (const Watch& w : slot.watched) file(id, slot, w);
+  for (const Watch& w : slot.watched) unfile(slot.interest, w);
+  slot.interest = interest;
+  for (Watch& w : slot.watched) file(id, slot.interest, w);
 }
 
-void MarketWatcher::file(ListenerId id, const Slot& slot, const Watch& watch) {
-  MarketIndex& index = *watch.market;
-  switch (slot.interest.kind) {
+std::vector<MarketWatcher::Entry>* MarketWatcher::filing(const Interest& interest,
+                                                         const Watch& watch,
+                                                         bool create) {
+  Book& book = markets_[watch.market];
+  switch (interest.kind) {
     case Interest::Kind::kNone:
-      return;
-    case Interest::Kind::kAlways: {
-      const Entry entry{watch.seq, id};
-      index.always.insert(std::upper_bound(index.always.begin(), index.always.end(),
-                                           entry, by_seq),
-                          entry);
-      return;
+      return nullptr;
+    case Interest::Kind::kAlways:
+      return &book.always;
+    case Interest::Kind::kAbove: {
+      if (interest.market != watch.market) return nullptr;
+      const auto it = std::lower_bound(
+          book.above.begin(), book.above.end(), interest.edge,
+          [](const Bucket& b, double edge) { return b.edge < edge; });
+      if (it != book.above.end() && it->edge == interest.edge) return &it->entries;
+      if (!create) return nullptr;
+      return &book.above.insert(it, Bucket{interest.edge, {}})->entries;
     }
-    case Interest::Kind::kAbove:
-      if (index.id == slot.interest.market) {
-        index.above.insert(AboveEntry{slot.interest.edge, watch.seq, id});
-      }
-      return;
   }
+  return nullptr;
 }
 
-void MarketWatcher::unfile(ListenerId id, const Slot& slot, const Watch& watch) {
-  MarketIndex& index = *watch.market;
-  switch (slot.interest.kind) {
-    case Interest::Kind::kNone:
-      return;
-    case Interest::Kind::kAlways: {
-      const auto it = std::lower_bound(index.always.begin(), index.always.end(),
-                                       Entry{watch.seq, id}, by_seq);
-      if (it != index.always.end() && it->seq == watch.seq) index.always.erase(it);
-      return;
-    }
-    case Interest::Kind::kAbove:
-      if (index.id == slot.interest.market) {
-        index.above.erase(AboveEntry{slot.interest.edge, watch.seq, id});
+void MarketWatcher::file(ListenerId id, const Interest& interest, Watch& watch) {
+  std::vector<Entry>* list = filing(interest, watch, /*create=*/true);
+  if (list == nullptr) return;
+  watch.pos = static_cast<std::uint32_t>(list->size());
+  list->push_back(Entry{watch.seq, id});
+}
+
+void MarketWatcher::unfile(const Interest& interest, const Watch& watch) {
+  std::vector<Entry>* list = filing(interest, watch, /*create=*/false);
+  if (list == nullptr) return;
+  // Swap-remove: the last entry takes this one's place, and its watch
+  // learns its new position.
+  const Entry moved = list->back();
+  (*list)[watch.pos] = moved;
+  list->pop_back();
+  if (moved.seq != watch.seq) {
+    for (Watch& w : slots_[static_cast<std::size_t>(moved.id - 1)].watched) {
+      if (w.market == watch.market) {
+        w.pos = watch.pos;
+        break;
       }
-      return;
+    }
+  }
+  if (list->empty() && interest.kind == Interest::Kind::kAbove) {
+    auto& above = markets_[watch.market].above;
+    above.erase(std::find_if(above.begin(), above.end(),
+                             [list](const Bucket& b) { return &b.entries == list; }));
   }
 }
 
@@ -122,19 +137,18 @@ void MarketWatcher::arm_revocation(ListenerId id, cloud::InstanceId instance) {
       });
 }
 
-void MarketWatcher::on_price_change(const cloud::MarketId& market, double new_price) {
-  const auto it = markets_.find(market);
-  if (it == markets_.end()) return;
+void MarketWatcher::on_price_change(cloud::MarketIndex market, double new_price) {
+  if (market >= markets_.size() || !markets_[market].subscribed) return;
   ++stats_.price_steps;
-  const MarketIndex& index = it->second;
-  // Recipients: every kAlways watcher plus the kAbove filings whose edge
-  // lies below the new price, merged into watch order. The batch is
-  // private to this step, so handlers may mutate the index reentrantly.
+  const Book& book = markets_[market];
+  // Recipients: every kAlways watcher plus the kAbove buckets whose edge
+  // lies below the new price, sorted into watch order. The batch is private
+  // to this step, so handlers may mutate the index reentrantly.
   std::vector<Entry> batch = std::move(spare_);
-  batch.assign(index.always.begin(), index.always.end());
-  for (auto e = index.above.begin(); e != index.above.end() && e->edge < new_price;
-       ++e) {
-    batch.push_back(Entry{e->seq, e->id});
+  batch.assign(book.always.begin(), book.always.end());
+  for (const Bucket& bucket : book.above) {
+    if (!(bucket.edge < new_price)) break;
+    batch.insert(batch.end(), bucket.entries.begin(), bucket.entries.end());
   }
   if (!std::is_sorted(batch.begin(), batch.end(), by_seq)) {
     std::sort(batch.begin(), batch.end(), by_seq);

@@ -17,28 +17,32 @@
 // Fan-out is indexed by interest (paper Sec. 3: the proactive scheduler is
 // edge-triggered, so most price steps are no-ops for most services). Each
 // listener declares one price Interest — kNone, kAbove(market, edge) or
-// kAlways — and the watcher files it in a per-market index: a list of the
-// kAlways watchers plus the kAbove entries ordered by edge. A step to price
-// p in market m collects m's kAlways list and every kAbove entry with
-// edge < p (an ordered range), so its cost scales with the listeners the
-// step can move, not with the listeners watching m. Listeners that never
+// kAlways — and the watcher files it in a per-market index: a bucket of the
+// kAlways watchers plus one bucket per distinct kAbove edge, the buckets
+// ordered by edge. A market has only a handful of distinct edges (one per
+// on-demand threshold and capacity pair, plus -inf), so a step to price p in
+// market m walks m's buckets while edge < p and collects their entries: its
+// cost scales with the listeners the step can move, not with the listeners
+// watching m. Within a bucket entries are unordered — a refile is an O(1)
+// append or swap-remove, never a shift of the whole fleet — and each step
+// sorts its (few) recipients back into watch order. Listeners that never
 // declare stay kAlways, i.e. they see every step of every watched market.
 //
 // The provider feed arrives through SpotMarket::PriceListener and leaves
-// through TriggerListener — no type-erased hop on the path. Listeners live
-// in a dense vector indexed by ListenerId (ids are never reused); removal
-// tombstones the slot and unfiles it. A step's recipients are fixed when
-// the step begins and delivered from a private batch, so listeners may
-// (un)register, watch() and set_interest() reentrantly mid-dispatch: the
-// change applies from the next step (a removed listener is skipped at
-// once). Within one market, recipients fire in the order they started
-// watching it — same registrations, same dispatch order, every run.
+// through TriggerListener — no type-erased hop on the path. Markets are
+// addressed by their cloud::MarketIndex, so neither a step nor a refile
+// hashes a market name. Listeners live in a dense vector indexed by
+// ListenerId (ids are never reused); removal tombstones the slot and
+// unfiles it. A step's recipients are fixed when the step begins and
+// delivered from a private batch, so listeners may (un)register, watch()
+// and set_interest() reentrantly mid-dispatch: the change applies from the
+// next step (a removed listener is skipped at once). Within one market,
+// recipients fire in the order they started watching it — same
+// registrations, same dispatch order, every run.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <set>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -88,7 +92,7 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   /// One typed notification. Only the fields of the firing kind are set.
   struct Trigger {
     TriggerKind kind = TriggerKind::kPriceChange;
-    cloud::MarketId market{};                            ///< kPriceChange
+    cloud::MarketIndex market = 0;                       ///< kPriceChange
     double price = 0.0;                                  ///< kPriceChange
     cloud::InstanceId instance = cloud::kInvalidInstance;///< kRevocation
     sim::SimTime t_term = 0;                             ///< kRevocation
@@ -130,13 +134,13 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
       kAlways,  ///< every step in every watched market (the default)
     };
     Kind kind = Kind::kAlways;
-    cloud::MarketId market{};  ///< kAbove only; must be a watched market
-    double edge = 0.0;         ///< kAbove only
+    cloud::MarketIndex market = 0;  ///< kAbove only; must be a watched market
+    double edge = 0.0;              ///< kAbove only
 
-    [[nodiscard]] static Interest none() { return {Kind::kNone, {}, 0.0}; }
+    [[nodiscard]] static Interest none() { return {Kind::kNone, 0, 0.0}; }
     [[nodiscard]] static Interest always() { return {}; }
-    [[nodiscard]] static Interest above(cloud::MarketId market, double edge) {
-      return {Kind::kAbove, std::move(market), edge};
+    [[nodiscard]] static Interest above(cloud::MarketIndex market, double edge) {
+      return {Kind::kAbove, market, edge};
     }
     bool operator==(const Interest&) const = default;
   };
@@ -166,8 +170,9 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
 
   /// Declares which price steps the listener can act on; replaces the
   /// previous declaration. A kAbove interest in a market the listener does
-  /// not watch delivers nothing. O(log n) per change in the market's index;
-  /// re-declaring the current interest is a cheap no-op.
+  /// not watch delivers nothing. A change costs O(watched markets + distinct
+  /// edges), independent of the listener count; re-declaring the current
+  /// interest is a cheap no-op.
   void set_interest(ListenerId id, Interest interest);
 
   /// Schedules a kHourBoundary trigger for `id` at absolute time `at`.
@@ -188,7 +193,7 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   /// Provider-side price-feed subscriptions this watcher holds — bounded by
   /// the market count, never by the listener count.
   [[nodiscard]] std::size_t provider_subscriptions() const noexcept {
-    return markets_.size();
+    return subscriptions_;
   }
   /// Live (registered, not yet removed) listeners.
   [[nodiscard]] std::size_t listener_count() const noexcept {
@@ -208,23 +213,23 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
     std::uint64_t seq;
     ListenerId id;
   };
-  struct AboveEntry {
+  /// The kAbove filings of one market that share one edge (unordered).
+  struct Bucket {
     double edge;
-    std::uint64_t seq;
-    ListenerId id;
-    bool operator<(const AboveEntry& o) const noexcept {
-      return edge != o.edge ? edge < o.edge : seq < o.seq;
-    }
+    std::vector<Entry> entries;
   };
   /// The interest index of one market.
-  struct MarketIndex {
-    cloud::MarketId id;
-    std::vector<Entry> always;      ///< kAlways watchers, ascending seq
-    std::set<AboveEntry> above;     ///< kAbove filings, ascending edge
+  struct Book {
+    bool subscribed = false;     ///< the provider feed is subscribed
+    std::vector<Entry> always;   ///< kAlways watchers (unordered)
+    std::vector<Bucket> above;   ///< non-empty buckets, ascending edge
   };
   struct Watch {
-    MarketIndex* market;
+    cloud::MarketIndex market;
     std::uint64_t seq;
+    /// Position of this watch's entry in the list it is filed in (the
+    /// market's kAlways list or its bucket); meaningful only while filed.
+    std::uint32_t pos = 0;
   };
   struct Slot {
     TriggerListener* listener = nullptr;  ///< nullptr = removed
@@ -238,14 +243,17 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   }
   /// cloud::SpotMarket::PriceListener — the one shared feed subscription.
   void on_price(const cloud::SpotMarket& market, double new_price) override {
-    on_price_change(market.id(), new_price);
+    on_price_change(market.index(), new_price);
   }
-  void on_price_change(const cloud::MarketId& market, double new_price);
+  void on_price_change(cloud::MarketIndex market, double new_price);
   void deliver(ListenerId id, const Trigger& trigger);
-  /// Adds (file) or removes (unfile) one watch of `slot` to or from its
-  /// market's index, per the slot's current interest.
-  static void file(ListenerId id, const Slot& slot, const Watch& watch);
-  static void unfile(ListenerId id, const Slot& slot, const Watch& watch);
+  /// The list `watch` is filed in under `interest`, or nullptr if the
+  /// interest files nothing there. `create` adds a missing kAbove bucket.
+  std::vector<Entry>* filing(const Interest& interest, const Watch& watch, bool create);
+  /// Adds (file) or removes (unfile) one watch of listener `id` to or from
+  /// its market's index, per `interest`.
+  void file(ListenerId id, const Interest& interest, Watch& watch);
+  void unfile(const Interest& interest, const Watch& watch);
 
   sim::Clock& clock_;
   cloud::CloudProvider& provider_;
@@ -253,9 +261,9 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   /// generation counter is needed).
   std::vector<Slot> slots_;
   std::size_t live_listeners_ = 0;
-  /// One index per subscribed market; node-based, so Watch pointers into
-  /// it stay valid.
-  std::unordered_map<cloud::MarketId, MarketIndex, cloud::MarketIdHash> markets_;
+  /// One index per market, by MarketIndex (grown on first watch).
+  std::vector<Book> markets_;
+  std::size_t subscriptions_ = 0;
   std::uint64_t next_seq_ = 0;
   /// Recipient buffer reused across steps; a reentrant dispatch finds it
   /// taken (moved out) and allocates its own.

@@ -11,7 +11,7 @@
 namespace spothost::sched {
 
 using cloud::InstanceId;
-using cloud::MarketId;
+using cloud::MarketIndex;
 using sim::SimTime;
 
 namespace {
@@ -78,15 +78,16 @@ std::optional<SimTime> MigrationEngine::voluntary_completion_time() const {
 
 void MigrationEngine::begin_voluntary(virt::MigrationClass cls, const Placement& target,
                                       InstanceId source) {
+  const MarketIndex market = provider_.index(target.market);
   Migration m;
   m.cls = cls;
-  m.target = target.market;
+  m.target = market;
   m.target_on_demand = target.on_demand;
   migration_ = m;
 
   if (target.on_demand) {
     migration_->dest = provider_.request_on_demand(
-        target.market,
+        market,
         [this](InstanceId iid) {
           if (!migration_ || migration_->dest != iid) return;
           migration_->dest_ready = true;
@@ -102,7 +103,7 @@ void MigrationEngine::begin_voluntary(virt::MigrationClass cls, const Placement&
         });
   } else {
     migration_->dest = provider_.request_spot(
-        target.market, target.bid,
+        market, target.bid,
         [this](InstanceId iid) {
           if (!migration_ || migration_->dest != iid) return;
           migration_->dest_ready = true;
@@ -112,11 +113,8 @@ void MigrationEngine::begin_voluntary(virt::MigrationClass cls, const Placement&
               });
           start_transfer();
         },
-        [this, cls, target = target.market](cloud::AllocFailure reason) {
-          auto e = host_.trace_event(obs::EventKind::kSpotRequestFailed,
-                                     obs::code::kNone);
-          e.market = target.str();
-          host_.trace(std::move(e));
+        [this, cls, market](cloud::AllocFailure reason) {
+          host_.trace({.kind = obs::EventKind::kSpotRequestFailed, .market = market});
           if (!migration_) return;
           migration_.reset();
           if (reason == cloud::AllocFailure::kInsufficientCapacity &&
@@ -132,16 +130,16 @@ void MigrationEngine::begin_voluntary(virt::MigrationClass cls, const Placement&
   if (owner_ != cloud::kNoOwner) {
     provider_.set_instance_owner(migration_->dest, owner_);
   }
-  auto e = host_.trace_event(obs::EventKind::kMigrationBegin, migration_code(cls));
-  e.instance = source;
-  if (cls == virt::MigrationClass::kPlanned) {
-    e.aux = target.on_demand ? 1.0 : 0.0;
-  }
-  e.market = target.market.str();
-  host_.trace(std::move(e));
+  host_.trace({.kind = obs::EventKind::kMigrationBegin,
+               .code = migration_code(cls),
+               .instance = source,
+               .aux = cls == virt::MigrationClass::kPlanned && target.on_demand
+                          ? 1.0
+                          : 0.0,
+               .market = market});
   SPOTHOST_LOG(sim::LogLevel::kInfo, clock_.now(),
                (cls == virt::MigrationClass::kReverse ? "reverse" : "planned")
-                   << " migration -> " << target.market.str()
+                   << " migration -> " << provider_.name(market)
                    << (target.on_demand ? " (on-demand)" : " (spot)"));
 }
 
@@ -152,16 +150,15 @@ void MigrationEngine::start_transfer() {
   if (auto* inj = clock_.fault_injector();
       inj && virt::uses_live_migration(config_.combo) &&
       inj->should_inject(faults::FaultKind::kLiveCopyAbort,
-                         migration_->target.str(), migration_->dest)) {
+                         provider_.name(migration_->target), migration_->dest)) {
     if (config_.retry.graceful_degradation) {
       // Live pre-copy aborted: degrade to plain stop-and-copy on the same
       // destination (longer downtime) instead of losing the migration.
       degrade_to_ckpt = true;
-      auto e = host_.trace_event(obs::EventKind::kDegradedMode,
-                                 obs::code::kDegradeLiveToCkpt);
-      e.instance = migration_->dest;
-      e.market = migration_->target.str();
-      host_.trace(std::move(e));
+      host_.trace({.kind = obs::EventKind::kDegradedMode,
+                   .code = obs::code::kDegradeLiveToCkpt,
+                   .instance = migration_->dest,
+                   .market = migration_->target});
     } else {
       const auto cls = migration_->cls;
       abandon(AbandonReason::kFault);
@@ -171,19 +168,18 @@ void MigrationEngine::start_transfer() {
   }
   migration_->timings = (degrade_to_ckpt ? ckpt_planner_ : planner_)
                             .plan(migration_->cls, spec_,
-                                  host_.source_market().region,
-                                  migration_->target.region);
+                                  region(host_.source_market()),
+                                  region(migration_->target));
   migration_->transfer_started = true;
   migration_->switchover_at =
       clock_.now() + jittered(migration_->timings.prepare_s);
   migration_->switchover_event =
       clock_.at(migration_->switchover_at, [this] { complete_switchover(); });
-  auto e = host_.trace_event(obs::EventKind::kMigrationTransfer,
-                             migration_code(migration_->cls));
-  e.instance = migration_->dest;
-  e.value = migration_->timings.prepare_s;
-  e.market = migration_->target.str();
-  host_.trace(std::move(e));
+  host_.trace({.kind = obs::EventKind::kMigrationTransfer,
+               .code = migration_code(migration_->cls),
+               .instance = migration_->dest,
+               .value = migration_->timings.prepare_s,
+               .market = migration_->target});
 }
 
 void MigrationEngine::complete_switchover() {
@@ -208,20 +204,15 @@ void MigrationEngine::complete_switchover() {
   }
   host_.on_source_released();
 
-  {
-    auto e = host_.trace_event(obs::EventKind::kMigrationSwitchover,
-                               migration_code(m.cls));
-    e.instance = m.dest;
-    e.value = sim::to_seconds(downtime);
-    e.aux = sim::to_seconds(degraded);
-    e.market = m.target.str();
-    host_.trace(std::move(e));
-  }
+  host_.trace({.kind = obs::EventKind::kMigrationSwitchover,
+               .code = migration_code(m.cls),
+               .instance = m.dest,
+               .value = sim::to_seconds(downtime),
+               .aux = sim::to_seconds(degraded),
+               .market = m.target});
   if (m.cls != virt::MigrationClass::kReverse && !m.target_on_demand) {
-    auto e = host_.trace_event(obs::EventKind::kMarketSwitch, obs::code::kNone);
-    e.instance = m.dest;
-    e.market = m.target.str();
-    host_.trace(std::move(e));
+    host_.trace(
+        {.kind = obs::EventKind::kMarketSwitch, .instance = m.dest, .market = m.target});
   }
 
   if (downtime > 0 && service_.is_up()) {
@@ -256,11 +247,12 @@ void MigrationEngine::abandon(AbandonReason reason) {
     case AbandonReason::kPreempted: code = obs::code::kAbandonPreempted; break;
     case AbandonReason::kFault: code = obs::code::kAbandonFault; break;
   }
-  auto e = host_.trace_event(obs::EventKind::kMigrationAbandon, code);
-  e.instance = migration_->dest;
-  e.market = migration_->target.str();
+  const HostEvent e{.kind = obs::EventKind::kMigrationAbandon,
+                    .code = code,
+                    .instance = migration_->dest,
+                    .market = migration_->target};
   migration_.reset();
-  host_.trace(std::move(e));
+  host_.trace(e);
 }
 
 std::optional<virt::MigrationClass> MigrationEngine::dest_warned(InstanceId instance) {
@@ -274,7 +266,7 @@ std::optional<virt::MigrationClass> MigrationEngine::dest_warned(InstanceId inst
 // Forced migrations
 // ---------------------------------------------------------------------------
 
-InstanceId MigrationEngine::request_forced_dest(const MarketId& od_market) {
+InstanceId MigrationEngine::request_forced_dest(MarketIndex od_market) {
   const InstanceId iid = provider_.request_on_demand(
       od_market,
       [this](InstanceId granted) {
@@ -301,28 +293,24 @@ void MigrationEngine::on_forced_dest_failed() {
     // the backoff cap — the service eventually comes back, just slowly.
     if (!forced_->degraded) {
       forced_->degraded = true;
-      auto e = host_.trace_event(obs::EventKind::kDegradedMode,
-                                 obs::code::kDegradeSlowRetry);
-      e.market = forced_->od_market.str();
-      host_.trace(std::move(e));
+      host_.trace({.kind = obs::EventKind::kDegradedMode,
+                   .code = obs::code::kDegradeSlowRetry,
+                   .market = forced_->od_market});
     }
     delay_s = retry.backoff_max_s;
   } else {
     // Retries off, no degradation: the forced flow stays stuck with the
     // service down — the retries-off ablation arm measures exactly this.
     SPOTHOST_LOG(sim::LogLevel::kWarn, clock_.now(),
-                 "forced replacement in " << forced_->od_market.str()
+                 "forced replacement in " << provider_.name(forced_->od_market)
                      << " failed; retries disabled, giving up");
     return;
   }
-  {
-    auto e = host_.trace_event(obs::EventKind::kRetryScheduled,
-                               obs::code::kRetryForcedDest);
-    e.value = static_cast<double>(attempt);
-    e.aux = delay_s;
-    e.market = forced_->od_market.str();
-    host_.trace(std::move(e));
-  }
+  host_.trace({.kind = obs::EventKind::kRetryScheduled,
+               .code = obs::code::kRetryForcedDest,
+               .value = static_cast<double>(attempt),
+               .aux = delay_s,
+               .market = forced_->od_market});
   clock_.after(sim::from_seconds(delay_s), [this] {
     if (!forced_ || forced_->dest != cloud::kInvalidInstance) return;
     forced_->dest = request_forced_dest(forced_->od_market);
@@ -330,25 +318,24 @@ void MigrationEngine::on_forced_dest_failed() {
 }
 
 void MigrationEngine::begin_forced(SimTime t_term, InstanceId source,
-                                   const MarketId& source_market) {
-  {
-    auto e = host_.trace_event(obs::EventKind::kMigrationBegin, obs::code::kForced);
-    e.instance = source;
-    e.value = sim::to_seconds(t_term);
-    e.market = source_market.str();
-    host_.trace(std::move(e));
-  }
+                                   MarketIndex source_market) {
+  host_.trace({.kind = obs::EventKind::kMigrationBegin,
+               .code = obs::code::kForced,
+               .instance = source,
+               .value = sim::to_seconds(t_term),
+               .market = source_market});
   host_.on_forced_begin();
 
   Forced f;
   f.t_term = t_term;
-  f.timings = planner_.plan(virt::MigrationClass::kForced, spec_,
-                            source_market.region, source_market.region);
+  const std::string& source_region = region(source_market);
+  f.timings = planner_.plan(virt::MigrationClass::kForced, spec_, source_region,
+                            source_region);
 
   // Reuse an in-flight destination in the same region; otherwise release it
   // and request a fresh on-demand server here.
   if (migration_ && migration_->dest != cloud::kInvalidInstance &&
-      migration_->target.region == source_market.region) {
+      region(migration_->target) == source_region) {
     migration_->switchover_event.cancel();
     f.dest = migration_->dest;
     f.dest_ready = migration_->dest_ready;
@@ -359,7 +346,8 @@ void MigrationEngine::begin_forced(SimTime t_term, InstanceId source,
   }
   forced_ = f;
 
-  const MarketId od_market{source_market.region, config_.home_market.size};
+  const MarketIndex od_market =
+      provider_.index(cloud::MarketId{source_region, config_.home_market.size});
   forced_->od_market = od_market;
   if (forced_->dest == cloud::kInvalidInstance) {
     forced_->dest = request_forced_dest(od_market);
@@ -381,9 +369,9 @@ void MigrationEngine::begin_forced(SimTime t_term, InstanceId source,
                             workload::OutageCause::kForcedMigration);
     }
     forced_->service_stopped = true;
-    auto e = host_.trace_event(obs::EventKind::kMigrationTransfer, obs::code::kForced);
-    e.value = forced_->timings.flush_s;  // the bounded checkpoint flush
-    host_.trace(std::move(e));
+    host_.trace({.kind = obs::EventKind::kMigrationTransfer,
+                 .code = obs::code::kForced,
+                 .value = forced_->timings.flush_s});  // the bounded checkpoint flush
     forced_try_resume();
   });
   clock_.at(t_term, [this] {
@@ -403,9 +391,9 @@ void MigrationEngine::forced_try_resume() {
   SimTime restore = jittered(forced_->timings.restore_s);
   SimTime degraded = jittered(forced_->timings.degraded_s);
   if (auto* inj = clock_.fault_injector(); inj) {
-    const std::string dest_market = provider_.instance(forced_->dest).market.str();
-    if (inj->should_inject(faults::FaultKind::kCheckpointStall, dest_market,
-                           forced_->dest)) {
+    const MarketIndex dest_market = provider_.instance(forced_->dest).market;
+    if (inj->should_inject(faults::FaultKind::kCheckpointStall,
+                           provider_.name(dest_market), forced_->dest)) {
       const auto stall = static_cast<SimTime>(std::llround(
           static_cast<double>(restore) *
           (inj->plan().checkpoint_stall_factor - 1.0)));
@@ -413,12 +401,11 @@ void MigrationEngine::forced_try_resume() {
         // Absorb the stalled tail as degraded time (lazy-restore style): the
         // service comes up on schedule and back-fills slowly.
         degraded += stall;
-        auto e = host_.trace_event(obs::EventKind::kDegradedMode,
-                                   obs::code::kDegradeStallAbsorbed);
-        e.instance = forced_->dest;
-        e.value = sim::to_seconds(stall);
-        e.market = dest_market;
-        host_.trace(std::move(e));
+        host_.trace({.kind = obs::EventKind::kDegradedMode,
+                     .code = obs::code::kDegradeStallAbsorbed,
+                     .instance = forced_->dest,
+                     .value = sim::to_seconds(stall),
+                     .market = dest_market});
       } else {
         restore += stall;  // the outage holds until the full transfer lands
       }
@@ -436,12 +423,12 @@ void MigrationEngine::forced_try_resume() {
       }
     }
     const auto& inst = provider_.instance(f.dest);
-    auto e = host_.trace_event(obs::EventKind::kMigrationSwitchover, obs::code::kForced);
-    e.instance = f.dest;
-    e.value = sim::to_seconds(restore);
-    e.aux = sim::to_seconds(degraded);
-    e.market = inst.market.str();
-    host_.trace(std::move(e));
+    host_.trace({.kind = obs::EventKind::kMigrationSwitchover,
+                 .code = obs::code::kForced,
+                 .instance = f.dest,
+                 .value = sim::to_seconds(restore),
+                 .aux = sim::to_seconds(degraded),
+                 .market = inst.market});
     host_.adopt(f.dest, inst.market, inst.mode == cloud::BillingMode::kOnDemand);
   });
 }

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 
 #include "cloud/provider.hpp"
 #include "obs/counter_sink.hpp"
@@ -39,6 +40,20 @@ enum class AbandonReason : std::uint8_t {
   kFault,           ///< an injected mid-flight fault (e.g. live-copy abort)
 };
 
+/// One trace record as the engine and its host emit it: a TraceEvent's
+/// fields, minus the time (always now), with the market as a MarketIndex.
+/// It is built on every emission, so it holds no string: the host counts it
+/// by (kind, code) and builds the TraceEvent — market name included — only
+/// when a tracer is enabled.
+struct HostEvent {
+  obs::EventKind kind = obs::EventKind::kPriceChange;
+  std::uint8_t code = obs::code::kNone;
+  cloud::InstanceId instance = cloud::kInvalidInstance;
+  double value = 0.0;
+  double aux = 0.0;
+  std::optional<cloud::MarketIndex> market{};  ///< none = no market named
+};
+
 /// What the MigrationEngine needs from whoever hosts it (CloudScheduler).
 /// Deliberately narrow: current-source queries, lifecycle notifications,
 /// and the trace pipeline. No scheduler internals leak through.
@@ -56,9 +71,9 @@ enum class AbandonReason : std::uint8_t {
 ///    migration down; the host may re-trigger or drop the move. It is NOT
 ///    called when fault-recovery retries are disabled (the retries-off
 ///    ablation deliberately strands failed moves).
-///  * trace()/trace_event() are the only trace path: the engine never emits
-///    events around the host, so the host's CounterSink (and therefore
-///    SchedulerStats) can never disagree with an attached tracer.
+///  * trace() is the only trace path: the engine never emits events around
+///    the host, so the host's CounterSink (and therefore SchedulerStats) can
+///    never disagree with an attached tracer.
 class MigrationHost {
  public:
   virtual ~MigrationHost() = default;
@@ -66,10 +81,10 @@ class MigrationHost {
   /// The instance currently hosting the service (kInvalidInstance if none).
   [[nodiscard]] virtual cloud::InstanceId source_instance() const noexcept = 0;
   /// Market of source_instance(); meaningful only while one is held.
-  [[nodiscard]] virtual cloud::MarketId source_market() const = 0;
+  [[nodiscard]] virtual cloud::MarketIndex source_market() const = 0;
 
   /// A migration completed: the service now runs on `instance`.
-  virtual void adopt(cloud::InstanceId instance, const cloud::MarketId& market,
+  virtual void adopt(cloud::InstanceId instance, cloud::MarketIndex market,
                      bool on_demand) = 0;
   /// A forced flow began: drop any scheduled voluntary-migration timers.
   virtual void on_forced_begin() = 0;
@@ -89,9 +104,7 @@ class MigrationHost {
 
   /// Trace pipeline (counters + attached tracer) — the engine never emits
   /// events around the host.
-  virtual void trace(obs::TraceEvent event) = 0;
-  [[nodiscard]] virtual obs::TraceEvent trace_event(obs::EventKind kind,
-                                                    std::uint8_t code) const = 0;
+  virtual void trace(const HostEvent& event) = 0;
 };
 
 class MigrationEngine {
@@ -113,7 +126,7 @@ class MigrationEngine {
   /// terminates at `t_term`. Cannibalises a same-region in-flight voluntary
   /// destination; abandons any other.
   void begin_forced(sim::SimTime t_term, cloud::InstanceId source,
-                    const cloud::MarketId& source_market);
+                    cloud::MarketIndex source_market);
 
   /// Tears down the in-flight voluntary migration (cancels or releases the
   /// destination, emits the abandon event).
@@ -154,7 +167,7 @@ class MigrationEngine {
  private:
   struct Migration {
     virt::MigrationClass cls{};
-    cloud::MarketId target;
+    cloud::MarketIndex target = 0;
     bool target_on_demand = false;
     cloud::InstanceId dest = cloud::kInvalidInstance;
     bool dest_ready = false;
@@ -174,7 +187,7 @@ class MigrationEngine {
     virt::MigrationTimings timings{};
     /// Market the replacement server is requested in — kept so the
     /// fault-recovery chain can re-request after an injected capacity error.
-    cloud::MarketId od_market{};
+    cloud::MarketIndex od_market = 0;
     int dest_attempts = 0;  ///< failed replacement requests so far
     bool degraded = false;  ///< degraded-mode (slow-poll) announcement made
   };
@@ -182,7 +195,10 @@ class MigrationEngine {
   void start_transfer();
   void complete_switchover();
   void forced_try_resume();
-  cloud::InstanceId request_forced_dest(const cloud::MarketId& od_market);
+  cloud::InstanceId request_forced_dest(cloud::MarketIndex od_market);
+  [[nodiscard]] const std::string& region(cloud::MarketIndex m) const {
+    return provider_.market(m).id().region;
+  }
   void on_forced_dest_failed();
 
   sim::Clock& clock_;

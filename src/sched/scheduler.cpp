@@ -11,7 +11,7 @@
 namespace spothost::sched {
 
 using cloud::InstanceId;
-using cloud::MarketId;
+using cloud::MarketIndex;
 using sim::SimTime;
 
 namespace {
@@ -24,20 +24,19 @@ constexpr double kEdgeSlack = 1e-9;
 
 }  // namespace
 
-void CloudScheduler::trace(obs::TraceEvent event) {
-  counters_.on_event(event);
+void CloudScheduler::trace(const HostEvent& event) {
+  counters_.add(event.kind, event.code);
   if (auto* tracer = clock_.tracer(); tracer != nullptr && tracer->enabled()) {
-    tracer->emit(event);
+    obs::TraceEvent e;
+    e.t = clock_.now();
+    e.kind = event.kind;
+    e.code = event.code;
+    e.instance = event.instance;
+    e.value = event.value;
+    e.aux = event.aux;
+    if (event.market) e.market = provider_.name(*event.market);
+    tracer->emit(e);
   }
-}
-
-obs::TraceEvent CloudScheduler::trace_event(obs::EventKind kind,
-                                            std::uint8_t code) const {
-  obs::TraceEvent e;
-  e.t = clock_.now();
-  e.kind = kind;
-  e.code = code;
-  return e;
 }
 
 CloudScheduler::CloudScheduler(sim::Clock& clock,
@@ -79,6 +78,7 @@ CloudScheduler::CloudScheduler(sim::Clock& clock,
     throw std::invalid_argument("CloudScheduler: unknown home market " +
                                 config_.home_market.str());
   }
+  home_ = provider_.index(config_.home_market);
   if (config_.scope == MarketScope::kMultiRegion && config_.allowed_regions.empty()) {
     config_.allowed_regions = provider_.regions();
   }
@@ -109,27 +109,41 @@ int CloudScheduler::units_needed() const {
 }
 
 double CloudScheduler::od_threshold() const {
-  const std::string& region =
-      holding_ ? holding_->market.region : config_.home_market.region;
-  return effective_on_demand_price(provider_, region, config_.home_market.size);
+  // The home region's comparator is the home market itself.
+  const std::optional<MarketIndex> od = holding_ ? holding_->od_market : home_;
+  if (!od) {
+    // No home-size market in the held region: the lookup throws naming it.
+    return effective_on_demand_price(provider_,
+                                     provider_.market(holding_->market).id().region,
+                                     config_.home_market.size);
+  }
+  return provider_.od_price(*od);
+}
+
+std::optional<MarketIndex> CloudScheduler::od_market_near(MarketIndex market) const {
+  const cloud::MarketId& id = provider_.market(market).id();
+  if (id.size == config_.home_market.size) return market;
+  const cloud::MarketId od{id.region, config_.home_market.size};
+  if (!provider_.has_market(od)) return std::nullopt;
+  return provider_.index(od);
 }
 
 PlacementQuery CloudScheduler::placement_query(double threshold) const {
   PlacementQuery query;
   query.units_needed = units_needed();
   query.max_effective_price = threshold;
-  if (holding_ && !holding_->on_demand) query.exclude = holding_->market;
+  if (holding_ && !holding_->on_demand) {
+    query.exclude = provider_.market(holding_->market).id();
+  }
   query.avoid = avoid_markets_;
-  query.fallback_region =
-      holding_ ? holding_->market.region : config_.home_market.region;
+  query.fallback_region = provider_.market(current_market()).id().region;
   query.now = clock_.now();
   return query;
 }
 
 SimTime CloudScheduler::planned_lead() const {
-  const std::string& region =
-      holding_ ? holding_->market.region : config_.home_market.region;
-  const auto lat = provider_.allocation_latency(region);
+  const std::string& region = provider_.market(current_market()).id().region;
+  const auto lat = provider_.allocation_latency(current_market());
   const auto t =
       engine_->planner().plan(virt::MigrationClass::kPlanned, spec_, region, region);
   return sim::from_seconds(lat.on_demand_mean_s * kLeadSafetyFactor + t.prepare_s +
@@ -138,9 +152,8 @@ SimTime CloudScheduler::planned_lead() const {
 }
 
 SimTime CloudScheduler::reverse_lead() const {
-  const std::string& region =
-      holding_ ? holding_->market.region : config_.home_market.region;
-  const auto lat = provider_.allocation_latency(region);
+  const std::string& region = provider_.market(current_market()).id().region;
+  const auto lat = provider_.allocation_latency(current_market());
   const auto t =
       engine_->planner().plan(virt::MigrationClass::kReverse, spec_, region, region);
   return sim::from_seconds(lat.spot_mean_s * kLeadSafetyFactor + t.prepare_s +
@@ -209,7 +222,8 @@ MarketWatcher::Interest CloudScheduler::price_interest() const {
   // Steady below the threshold: only a step taking the effective price
   // above p_on acts. The slack keeps the edge below the exact crossing
   // price whatever the rounding of effective_spot_price.
-  const double capacity = cloud::type_info(holding_->market.size).capacity_units;
+  const double capacity =
+      cloud::type_info(provider_.market(holding_->market).id().size).capacity_units;
   return Interest::above(holding_->market, od_threshold() * capacity / units_needed() *
                                                (1.0 - kEdgeSlack));
 }
@@ -223,12 +237,12 @@ void CloudScheduler::acquire_initial() {
     pure_spot_reacquire();
     return;
   }
-  const double threshold = effective_on_demand_price(
-      provider_, config_.home_market.region, config_.home_market.size);
+  // The home region's comparator: the home market's on-demand price.
+  const double threshold = provider_.od_price(home_);
   const auto query = placement_query(threshold);
   const auto best = placement_->choose_spot(provider_, config_, query);
   if (best) {
-    const MarketId target = best->market;
+    const MarketIndex target = provider_.index(best->market);
     pending_acquire_ = provider_.request_spot(
         target, best->bid,
         [this, target](InstanceId iid) {
@@ -237,9 +251,7 @@ void CloudScheduler::acquire_initial() {
         },
         [this, target](cloud::AllocFailure reason) {
           pending_acquire_ = cloud::kInvalidInstance;
-          auto e = trace_event(obs::EventKind::kSpotRequestFailed, obs::code::kNone);
-          e.market = target.str();
-          trace(std::move(e));
+          trace({.kind = obs::EventKind::kSpotRequestFailed, .market = target});
           if (reason == cloud::AllocFailure::kInsufficientCapacity) {
             on_acquire_capacity_failed(target, /*was_spot=*/true);
             return;
@@ -251,14 +263,15 @@ void CloudScheduler::acquire_initial() {
     }
     return;
   }
-  const Placement od = placement_->choose_on_demand(provider_, config_, query);
+  const MarketIndex od_market =
+      provider_.index(placement_->choose_on_demand(provider_, config_, query).market);
   pending_acquire_ = provider_.request_on_demand(
-      od.market,
-      [this, od_market = od.market](InstanceId iid) {
+      od_market,
+      [this, od_market](InstanceId iid) {
         pending_acquire_ = cloud::kInvalidInstance;
         adopt(iid, od_market, /*on_demand=*/true);
       },
-      [this, od_market = od.market](cloud::AllocFailure) {
+      [this, od_market](cloud::AllocFailure) {
         pending_acquire_ = cloud::kInvalidInstance;
         on_acquire_capacity_failed(od_market, /*was_spot=*/false);
       });
@@ -267,14 +280,14 @@ void CloudScheduler::acquire_initial() {
   }
 }
 
-void CloudScheduler::on_acquire_capacity_failed(const MarketId& market,
-                                                bool was_spot) {
+void CloudScheduler::on_acquire_capacity_failed(MarketIndex market, bool was_spot) {
   // Only skip the failed market when a fallback exists; the pure-spot
   // baseline (and an on-demand failure) must keep retrying the same market.
+  const cloud::MarketId& id = provider_.market(market).id();
   if (was_spot && config_.on_demand_allowed() &&
-      std::find(avoid_markets_.begin(), avoid_markets_.end(), market) ==
+      std::find(avoid_markets_.begin(), avoid_markets_.end(), id) ==
           avoid_markets_.end()) {
-    avoid_markets_.push_back(market);
+    avoid_markets_.push_back(id);
   }
   const int attempt = ++acquire_attempts_;
   const RetryPolicy& retry = config_.retry;
@@ -286,27 +299,24 @@ void CloudScheduler::on_acquire_capacity_failed(const MarketId& market,
     // backoff cap until something is granted.
     if (!degraded_acquire_) {
       degraded_acquire_ = true;
-      auto e = trace_event(obs::EventKind::kDegradedMode,
-                           obs::code::kDegradeSlowRetry);
-      e.market = market.str();
-      trace(std::move(e));
+      trace({.kind = obs::EventKind::kDegradedMode,
+             .code = obs::code::kDegradeSlowRetry,
+             .market = market});
     }
     delay_s = retry.backoff_max_s;
   } else {
     // Retries off, no degradation: acquisition is abandoned and the service
     // stays down — the retries-off ablation arm measures exactly this.
     SPOTHOST_LOG(sim::LogLevel::kWarn, clock_.now(),
-                 "acquisition in " << market.str()
+                 "acquisition in " << provider_.name(market)
                      << " failed (capacity); retries disabled, giving up");
     return;
   }
-  {
-    auto e = trace_event(obs::EventKind::kRetryScheduled, obs::code::kRetryAcquire);
-    e.value = static_cast<double>(attempt);
-    e.aux = delay_s;
-    e.market = market.str();
-    trace(std::move(e));
-  }
+  trace({.kind = obs::EventKind::kRetryScheduled,
+         .code = obs::code::kRetryAcquire,
+         .value = static_cast<double>(attempt),
+         .aux = delay_s,
+         .market = market});
   clock_.after(sim::from_seconds(delay_s), [this] {
     if (pending_acquire_ != cloud::kInvalidInstance) return;
     if (state_ != State::kAcquiring && state_ != State::kDown) return;
@@ -315,9 +325,8 @@ void CloudScheduler::on_acquire_capacity_failed(const MarketId& market,
   });
 }
 
-void CloudScheduler::adopt(InstanceId instance, const MarketId& market,
-                           bool on_demand) {
-  holding_ = Holding{instance, market, on_demand};
+void CloudScheduler::adopt(InstanceId instance, MarketIndex market, bool on_demand) {
+  holding_ = Holding{instance, market, on_demand, od_market_near(market)};
   state_ = on_demand ? State::kOnDemand : State::kOnSpot;
   crossing_.reset();  // crossings are relative to the adopted market
   acquire_attempts_ = 0;  // the fault-recovery episode ended in a grant
@@ -338,7 +347,8 @@ void CloudScheduler::adopt(InstanceId instance, const MarketId& market,
     schedule_hour_check();
   }
   SPOTHOST_LOG(sim::LogLevel::kInfo, clock_.now(),
-               "adopt " << market.str() << (on_demand ? " (on-demand)" : " (spot)")
+               "adopt " << provider_.name(market)
+                        << (on_demand ? " (on-demand)" : " (spot)")
                         << " instance " << instance);
   refresh_interest();
 }
@@ -347,7 +357,7 @@ void CloudScheduler::adopt(InstanceId instance, const MarketId& market,
 // Price triggers
 // ---------------------------------------------------------------------------
 
-void CloudScheduler::on_price_change(const MarketId& market, double new_price) {
+void CloudScheduler::on_price_change(MarketIndex market, double new_price) {
   (void)new_price;
   if (engine_->forced_active()) return;  // the forced flow owns the next transitions
 
@@ -368,13 +378,12 @@ void CloudScheduler::on_price_change(const MarketId& market, double new_price) {
   // Edge-triggered: one event per crossing of the on-demand threshold, not
   // one per price tick.
   if (crossing_.observe(above) != CrossingDetector::Edge::kNone) {
-    auto e = trace_event(obs::EventKind::kPriceCrossing,
-                         above ? obs::code::kAbove : obs::code::kBelow);
-    e.instance = holding_->id;
-    e.value = eff;
-    e.aux = threshold;
-    e.market = market.str();
-    trace(std::move(e));
+    trace({.kind = obs::EventKind::kPriceCrossing,
+           .code = above ? obs::code::kAbove : obs::code::kBelow,
+           .instance = holding_->id,
+           .value = eff,
+           .aux = threshold,
+           .market = market});
   }
   if (above) {
     maybe_schedule_planned();
@@ -457,12 +466,10 @@ void CloudScheduler::schedule_hour_check() {
 
 void CloudScheduler::on_hour_check() {
   if (state_ != State::kOnDemand || engine_->active() || !holding_) return;
-  {
-    auto e = trace_event(obs::EventKind::kBillingHourTick, obs::code::kOnDemand);
-    e.instance = holding_->id;
-    e.market = holding_->market.str();
-    trace(std::move(e));
-  }
+  trace({.kind = obs::EventKind::kBillingHourTick,
+         .code = obs::code::kOnDemand,
+         .instance = holding_->id,
+         .market = holding_->market});
   const double threshold = od_threshold() * config_.reverse_price_margin;
   const auto best = placement_->choose_spot(provider_, config_,
                                             placement_query(threshold));
@@ -488,9 +495,9 @@ void CloudScheduler::on_revocation_warning(InstanceId instance, SimTime t_term) 
 
   if (!config_.on_demand_allowed()) {
     // Pure-spot baseline: checkpoint, go down, wait for the market.
+    const std::string& region = provider_.market(holding_->market).id().region;
     const auto timings =
-        engine_->planner().plan(virt::MigrationClass::kForced, spec_,
-                                holding_->market.region, holding_->market.region);
+        engine_->planner().plan(virt::MigrationClass::kForced, spec_, region, region);
     const SimTime t_stop = std::max(clock_.now(),
                                     t_term - sim::from_seconds(timings.flush_s));
     clock_.at(t_stop, [this] {
@@ -545,8 +552,9 @@ void CloudScheduler::on_source_released() {
 
 void CloudScheduler::pure_spot_reacquire() {
   if (pending_acquire_ != cloud::kInvalidInstance) return;
-  const MarketId& home = config_.home_market;
-  const double bid = bidding_->bid_for(provider_, config_, home, clock_.now());
+  const MarketIndex home = home_;
+  const double bid =
+      bidding_->bid_for(provider_, config_, config_.home_market, clock_.now());
   if (provider_.price(home) > bid) return;  // wait for a price-change event
   pending_acquire_ = provider_.request_spot(
       home, bid,
@@ -557,9 +565,9 @@ void CloudScheduler::pure_spot_reacquire() {
           return;
         }
         // Restoring after an outage: resume from the checkpoint volume.
+        const std::string& region = config_.home_market.region;
         const auto timings =
-            engine_->planner().plan(virt::MigrationClass::kForced, spec_,
-                                    home.region, home.region);
+            engine_->planner().plan(virt::MigrationClass::kForced, spec_, region, region);
         const SimTime restore = engine_->jittered(timings.restore_s);
         const SimTime degraded = engine_->jittered(timings.degraded_s);
         clock_.after(restore, [this, iid, home, degraded] {
@@ -576,9 +584,7 @@ void CloudScheduler::pure_spot_reacquire() {
       },
       [this, home](cloud::AllocFailure reason) {
         pending_acquire_ = cloud::kInvalidInstance;
-        auto e = trace_event(obs::EventKind::kSpotRequestFailed, obs::code::kNone);
-        e.market = config_.home_market.str();
-        trace(std::move(e));
+        trace({.kind = obs::EventKind::kSpotRequestFailed, .market = home});
         if (reason == cloud::AllocFailure::kInsufficientCapacity) {
           // Injected capacity fault: the price is fine, so no price-change
           // trigger will come — back off and retry the same market.

@@ -22,10 +22,11 @@
 // cancellation, and the pure-spot baseline (Fig. 11) where a revocation
 // simply leaves the service down until the market price returns.
 //
-// Observability: every trigger and migration phase is emitted as an
-// obs::TraceEvent. The events always feed the scheduler's own CounterSink —
-// the backing store stats() is derived from — and additionally fan out to
-// any tracer attached to the Simulation (Simulation::set_tracer).
+// Observability: every trigger and migration phase is emitted as a
+// HostEvent. Each one is counted in the scheduler's own CounterSink — the
+// backing store stats() is derived from — and, only when the Simulation has
+// an enabled tracer (Simulation::set_tracer), built into an obs::TraceEvent
+// and fanned out to it. Untraced runs build no event and no market name.
 #pragma once
 
 #include <memory>
@@ -108,15 +109,18 @@ class CloudScheduler : private MigrationHost,
 
   struct Holding {
     cloud::InstanceId id = cloud::kInvalidInstance;
-    cloud::MarketId market;
+    cloud::MarketIndex market = 0;
     bool on_demand = false;
+    /// The home size's market in this region (the p_on comparator), if the
+    /// provider has one.
+    std::optional<cloud::MarketIndex> od_market;
   };
 
   // --- triggers (MarketWatcher listener) ------------------------------
   /// MarketWatcher::TriggerListener — direct interface delivery; no
   /// per-scheduler std::function on the price-tick path.
   void on_trigger(const MarketWatcher::Trigger& trigger) override;
-  void on_price_change(const cloud::MarketId& market, double new_price);
+  void on_price_change(cloud::MarketIndex market, double new_price);
   /// The price steps on_price_change can act on, as a function of the
   /// current state alone (see MarketWatcher::Interest).
   [[nodiscard]] MarketWatcher::Interest price_interest() const;
@@ -132,7 +136,7 @@ class CloudScheduler : private MigrationHost,
   /// bounded backoff retries walking the avoid-list fallback chain
   /// (next-cheapest spot market, then on-demand), then graceful degradation
   /// (slow polling at the backoff cap) or give-up per config_.retry.
-  void on_acquire_capacity_failed(const cloud::MarketId& market, bool was_spot);
+  void on_acquire_capacity_failed(cloud::MarketIndex market, bool was_spot);
 
   // --- planned / reverse decision logic --------------------------------
   void maybe_schedule_planned();
@@ -146,6 +150,13 @@ class CloudScheduler : private MigrationHost,
 
   // --- helpers ----------------------------------------------------------
   [[nodiscard]] double od_threshold() const;  ///< p_on comparator in current region
+  /// The home size's market in `market`'s region, if the provider has one.
+  [[nodiscard]] std::optional<cloud::MarketIndex> od_market_near(
+      cloud::MarketIndex market) const;
+  /// The held market, else the home market: the region decisions run in.
+  [[nodiscard]] cloud::MarketIndex current_market() const noexcept {
+    return holding_ ? holding_->market : home_;
+  }
   [[nodiscard]] PlacementQuery placement_query(double threshold) const;
   [[nodiscard]] sim::SimTime planned_lead() const;
   [[nodiscard]] sim::SimTime reverse_lead() const;
@@ -155,10 +166,10 @@ class CloudScheduler : private MigrationHost,
   [[nodiscard]] cloud::InstanceId source_instance() const noexcept override {
     return holding_ ? holding_->id : cloud::kInvalidInstance;
   }
-  [[nodiscard]] cloud::MarketId source_market() const override {
-    return holding_ ? holding_->market : config_.home_market;
+  [[nodiscard]] cloud::MarketIndex source_market() const override {
+    return current_market();
   }
-  void adopt(cloud::InstanceId instance, const cloud::MarketId& market,
+  void adopt(cloud::InstanceId instance, cloud::MarketIndex market,
              bool on_demand) override;
   void on_forced_begin() override;
   void on_source_lost() override;
@@ -166,11 +177,9 @@ class CloudScheduler : private MigrationHost,
   void on_voluntary_dest_failed(virt::MigrationClass cls) override;
   void on_revocation_warning(cloud::InstanceId instance, sim::SimTime t_term) override;
 
-  /// Feeds the event into counters_ (the stats backing store) and forwards
-  /// it to the clock's tracer, if one is attached.
-  void trace(obs::TraceEvent event) override;
-  [[nodiscard]] obs::TraceEvent trace_event(obs::EventKind kind,
-                                            std::uint8_t code) const override;
+  /// Counts the event in counters_ (the stats backing store) and, if the
+  /// clock's tracer is enabled, emits it there as an obs::TraceEvent.
+  void trace(const HostEvent& event) override;
 
   sim::Clock& clock_;
   cloud::CloudProvider& provider_;
@@ -184,6 +193,7 @@ class CloudScheduler : private MigrationHost,
   std::shared_ptr<const BidStrategy> bidding_;
   std::unique_ptr<MigrationEngine> engine_;
   MarketWatcher::ListenerId listener_ = MarketWatcher::kInvalidListener;
+  cloud::MarketIndex home_ = 0;  ///< config_.home_market
 
   State state_ = State::kAcquiring;
   bool service_live_ = false;

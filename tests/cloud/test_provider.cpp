@@ -1,9 +1,13 @@
 #include "cloud/provider.hpp"
+#include "faults/injector.hpp"
 #include "simcore/simulation.hpp"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
+#include <string>
+#include <vector>
 
 namespace spothost::cloud {
 namespace {
@@ -199,6 +203,168 @@ TEST_F(ProviderTest, DuplicateMarketRejected) {
   t.set_end(kHour);
   EXPECT_THROW(provider_.add_market(kSmallEast, std::move(t), 0.06),
                std::logic_error);
+}
+
+// --- the instance-id contract -------------------------------------------
+// Ids are dense from 1 in request order, and every id ever issued keeps
+// answering instance(id) for the life of the provider.
+
+TEST_F(ProviderTest, InstanceIdsAreDenseFromOne) {
+  for (InstanceId expected = 1; expected <= 5; ++expected) {
+    const InstanceId iid =
+        expected % 2 == 0
+            ? provider_.request_on_demand(kSmallEast, [](InstanceId) {})
+            : provider_.request_spot(kSmallEast, 0.06, [](InstanceId) {},
+                                     [](AllocFailure) {});
+    EXPECT_EQ(iid, expected);
+  }
+}
+
+TEST_F(ProviderTest, EveryIssuedIdAnswersAndEndedOnesReadTerminated) {
+  // Cancelled before its grant.
+  const InstanceId cancelled = provider_.request_on_demand(kSmallEast, [](InstanceId) {});
+  provider_.cancel_request(cancelled);
+  // Ended by the customer.
+  const InstanceId ended = provider_.request_on_demand(kSmallEast, [](InstanceId) {});
+  // Revoked by the provider at the 2 h spike.
+  const InstanceId revoked = provider_.request_spot(kSmallEast, 0.06, [](InstanceId) {},
+                                                    [](AllocFailure) {});
+  // Price-rejected: requested just before the spike, granted inside it.
+  InstanceId rejected = kInvalidInstance;
+  sim_.at(2 * kHour - kMinute, [&] {
+    rejected = provider_.request_spot(kSmallEast, 0.06, [](InstanceId) {},
+                                      [](AllocFailure) {});
+  });
+  sim_.at(kHour, [&] { provider_.terminate(ended); });
+  sim_.run_until(5 * kHour);
+
+  for (const InstanceId iid : {cancelled, ended, revoked, rejected}) {
+    ASSERT_NE(iid, kInvalidInstance);
+    EXPECT_EQ(provider_.instance(iid).id, iid);
+    EXPECT_EQ(provider_.instance(iid).state, InstanceState::kTerminated) << iid;
+  }
+  EXPECT_EQ(provider_.ledger().records().size(), 2u);  // ended + revoked
+}
+
+TEST_F(ProviderTest, IdZeroAndUnissuedIdsThrow) {
+  const InstanceId last = provider_.request_on_demand(kSmallEast, [](InstanceId) {});
+  EXPECT_THROW((void)provider_.instance(kInvalidInstance), std::out_of_range);
+  EXPECT_THROW((void)provider_.instance(last + 1), std::out_of_range);
+  EXPECT_NO_THROW((void)provider_.instance(last));
+}
+
+TEST(Provider, CapacityFailedRequestReadsTerminated) {
+  sim::Simulation s;
+  sim::RngFactory f(7);
+  faults::FaultPlan plan;
+  plan.at_opportunity(faults::FaultKind::kAllocInsufficientCapacity, 1);
+  faults::FaultInjector injector(s, f, plan);
+  s.set_fault_injector(&injector);
+  CloudProvider p(s, f);
+  trace::PriceTrace t;
+  t.append(0, 0.02);
+  t.set_end(48 * kHour);
+  p.add_market(kSmallEast, std::move(t), 0.06);
+  p.start();
+
+  std::optional<AllocFailure> failure;
+  const InstanceId iid = p.request_on_demand(
+      kSmallEast, [](InstanceId) {}, [&](AllocFailure why) { failure = why; });
+  s.run_until(kHour);
+  ASSERT_EQ(failure, AllocFailure::kInsufficientCapacity);
+  EXPECT_EQ(p.instance(iid).state, InstanceState::kTerminated);
+  EXPECT_TRUE(p.ledger().records().empty());
+}
+
+TEST_F(ProviderTest, FinalizeAppendsRecordsInAscendingIdOrder) {
+  std::vector<InstanceId> ids;
+  for (int i = 0; i < 40; ++i) {
+    ids.push_back(provider_.request_on_demand(kSmallEast, [](InstanceId) {}));
+  }
+  sim_.run_until(kHour);
+  // End every third lease early, newest first, so the ledger's head is in
+  // descending id order and only finalize's own order remains to check.
+  for (auto it = ids.rbegin(); it != ids.rend(); ++it) {
+    if (*it % 3 == 0) provider_.terminate(*it);
+  }
+  const std::size_t early = provider_.ledger().records().size();
+  provider_.finalize(2 * kHour);
+  const auto& records = provider_.ledger().records();
+  ASSERT_EQ(records.size(), ids.size());
+  for (std::size_t i = early + 1; i < records.size(); ++i) {
+    EXPECT_LT(records[i - 1].instance_id, records[i].instance_id);
+  }
+}
+
+// --- market interning ----------------------------------------------------
+// Markets are numbered 0, 1, ... in the order they were added, push-fed
+// ones included; every index overload agrees with its MarketId twin.
+
+TEST(Provider, MarketIndicesFollowAddOrderAcrossFeedKinds) {
+  sim::Simulation s;
+  sim::RngFactory f(1);
+  CloudProvider p(s, f);
+  const std::vector<MarketId> ids = {
+      {"us-east-1a", InstanceSize::kSmall},
+      {"live-1a", InstanceSize::kLarge},
+      {"us-west-1a", InstanceSize::kMedium},
+      {"live-1b", InstanceSize::kSmall},
+  };
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const double od = 0.06 * static_cast<double>(i + 1);
+    if (ids[i].region.starts_with("live")) {
+      p.add_live_market(ids[i], od);
+    } else {
+      trace::PriceTrace t;
+      t.append(0, 0.01 * static_cast<double>(i + 1));
+      t.set_end(kHour);
+      p.add_market(ids[i], std::move(t), od);
+    }
+  }
+  p.start();
+  p.market(ids[1]).prime(0.2);
+  p.market(ids[3]).prime(0.4);
+
+  EXPECT_EQ(p.all_markets(), ids);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const auto idx = static_cast<MarketIndex>(i);
+    EXPECT_EQ(p.index(ids[i]), idx);
+    EXPECT_EQ(p.market(idx).index(), idx);
+    EXPECT_EQ(&p.market(idx), &p.market(ids[i]));
+    EXPECT_EQ(p.market(idx).id(), ids[i]);
+    EXPECT_EQ(p.name(idx), ids[i].str());
+    EXPECT_EQ(p.price(idx), p.price(ids[i]));
+    EXPECT_EQ(p.od_price(idx), p.od_price(ids[i]));
+    EXPECT_EQ(p.allocation_latency(idx).spot_mean_s,
+              p.allocation_latency(ids[i].region).spot_mean_s);
+  }
+}
+
+TEST_F(ProviderTest, InstancesCarryTheirMarketIndex) {
+  const InstanceId by_id = provider_.request_on_demand(kSmallEast, [](InstanceId) {});
+  const InstanceId by_index = provider_.request_spot(
+      provider_.index(kSmallEast), 0.06, [](InstanceId) {}, [](AllocFailure) {});
+  EXPECT_EQ(provider_.instance(by_id).market, provider_.index(kSmallEast));
+  EXPECT_EQ(provider_.instance(by_index).market, provider_.index(kSmallEast));
+  EXPECT_EQ(by_index, by_id + 1);
+}
+
+TEST_F(ProviderTest, UnknownMarketIdThrowsNamingTheMarket) {
+  const MarketId bogus{"nowhere-1z", InstanceSize::kSmall};
+  for (const auto& lookup : std::vector<std::function<void()>>{
+           [&] { (void)provider_.index(bogus); },
+           [&] { (void)provider_.market(bogus); },
+           [&] { (void)provider_.od_price(bogus); },
+           [&] { (void)provider_.request_spot(bogus, 0.1, {}, {}); }}) {
+    try {
+      lookup();
+      ADD_FAILURE() << "no throw";
+    } catch (const std::out_of_range& e) {
+      EXPECT_NE(std::string(e.what()).find(bogus.str()), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_THROW((void)provider_.market(MarketIndex{1}), std::out_of_range);
+  EXPECT_THROW((void)provider_.name(MarketIndex{7}), std::out_of_range);
 }
 
 TEST(Provider, NegativeGraceRejected) {

@@ -12,6 +12,11 @@
 // Work counter: on a fleet_month-shaped proactive fleet the index must
 // deliver at most 2 % of the (step x watching listener) visits the full
 // fan-out made — a machine-independent gate on the fan-out's cost.
+//
+// Traced vs untraced: an untraced run builds no trace event at all (the
+// schedulers count (kind, code) pairs directly), so every fleet shape is run
+// once with an enabled tracer and once without, and the two runs must agree
+// exactly in counters, fleet metrics, ledger and outages.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -121,7 +126,8 @@ class DifferentialFleet {
       const Interest in = fleet_->watcher().interest(listener_of(i));
       const bool delivered =
           in.kind == Interest::Kind::kAlways ||
-          (in.kind == Interest::Kind::kAbove && in.market == market && price > in.edge);
+          (in.kind == Interest::Kind::kAbove &&
+           in.market == world_.provider().index(market) && price > in.edge);
       if (!delivered) skipped_.push_back(i);
     }
   }
@@ -150,7 +156,7 @@ class DifferentialFleet {
     if (diverged_) return;
     sched::MarketWatcher::Trigger trigger;
     trigger.kind = sched::MarketWatcher::TriggerKind::kPriceChange;
-    trigger.market = market;
+    trigger.market = world_.provider().index(market);
     trigger.price = price;
     for (const std::size_t i : skipped_) {
       auto& scheduler =
@@ -272,6 +278,99 @@ INSTANTIATE_TEST_SUITE_P(
       return shape_name(std::get<0>(arm.param)) + "_" +
              sim::to_string(std::get<1>(arm.param));
     });
+
+/// Everything a fleet run produces, for exact comparison.
+struct FleetOutcome {
+  std::vector<std::vector<std::uint64_t>> counters;  ///< per scheduler
+  sched::FleetMetrics metrics;
+  std::vector<cloud::BillingRecord> ledger;
+  std::vector<std::vector<workload::OutageRecord>> outages;  ///< per service
+  std::uint64_t traced_events = 0;
+};
+
+FleetOutcome run_fleet(const Arm& arm, bool traced) {
+  sched::World world(arm.scenario);
+  obs::Tracer tracer;
+  CountingSink sink;
+  if (traced) {
+    tracer.add_sink(&sink);
+    world.engine().set_tracer(&tracer);
+  }
+  sched::FleetScheduler fleet(world.clock(), world.provider(), arm.config, world.rng());
+  fleet.start();
+  world.engine().run_until(world.horizon());
+  world.provider().finalize(world.horizon());
+  fleet.finalize(world.horizon());
+
+  FleetOutcome out;
+  out.metrics = fleet.metrics(world.horizon());
+  out.ledger = world.provider().ledger().records();
+  for (int i = 0; i < fleet.size(); ++i) {
+    std::vector<std::uint64_t> counts;
+    for (std::size_t k = 0; k < obs::kEventKindCount; ++k) {
+      for (std::size_t c = 0; c < obs::kMaxCodes; ++c) {
+        counts.push_back(fleet.scheduler(i).counters().count(
+            static_cast<obs::EventKind>(k), static_cast<std::uint8_t>(c)));
+      }
+    }
+    out.counters.push_back(std::move(counts));
+    out.outages.push_back(fleet.service(i).availability().outages());
+  }
+  out.traced_events = sink.events;
+  return out;
+}
+
+class TracedDifferential : public ::testing::TestWithParam<Shape> {};
+
+TEST_P(TracedDifferential, UntracedRunMatchesTracedRun) {
+  const Arm arm = make_arm(GetParam());
+  const FleetOutcome traced = run_fleet(arm, /*traced=*/true);
+  const FleetOutcome untraced = run_fleet(arm, /*traced=*/false);
+  ASSERT_GT(traced.traced_events, 0u);  // the tracer really was enabled
+  EXPECT_EQ(untraced.traced_events, 0u);
+
+  EXPECT_EQ(untraced.counters, traced.counters);
+
+  const sched::FleetMetrics& a = traced.metrics;
+  const sched::FleetMetrics& b = untraced.metrics;
+  EXPECT_EQ(b.services, a.services);
+  EXPECT_EQ(b.total_cost, a.total_cost);
+  EXPECT_EQ(b.attributed_cost, a.attributed_cost);
+  EXPECT_EQ(b.baseline_od_cost, a.baseline_od_cost);
+  EXPECT_EQ(b.normalized_cost_pct, a.normalized_cost_pct);
+  EXPECT_EQ(b.mean_unavailability_pct, a.mean_unavailability_pct);
+  EXPECT_EQ(b.worst_unavailability_pct, a.worst_unavailability_pct);
+  EXPECT_EQ(b.any_down_pct, a.any_down_pct);
+  EXPECT_EQ(b.max_concurrent_down, a.max_concurrent_down);
+  EXPECT_EQ(b.total_forced, a.total_forced);
+  EXPECT_EQ(b.total_planned, a.total_planned);
+  EXPECT_EQ(b.total_reverse, a.total_reverse);
+
+  ASSERT_EQ(untraced.ledger.size(), traced.ledger.size());
+  for (std::size_t i = 0; i < traced.ledger.size(); ++i) {
+    const cloud::BillingRecord& x = traced.ledger[i];
+    const cloud::BillingRecord& y = untraced.ledger[i];
+    EXPECT_TRUE(y.instance_id == x.instance_id && y.market == x.market &&
+                y.mode == x.mode && y.launch == x.launch && y.end == x.end &&
+                y.cause == x.cause && y.cost == x.cost && y.owner == x.owner)
+        << "ledger record " << i << " differs";
+  }
+
+  ASSERT_EQ(untraced.outages.size(), traced.outages.size());
+  for (std::size_t i = 0; i < traced.outages.size(); ++i) {
+    ASSERT_EQ(untraced.outages[i].size(), traced.outages[i].size()) << "service " << i;
+    for (std::size_t j = 0; j < traced.outages[i].size(); ++j) {
+      EXPECT_EQ(untraced.outages[i][j].start, traced.outages[i][j].start);
+      EXPECT_EQ(untraced.outages[i][j].end, traced.outages[i][j].end);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fleets, TracedDifferential,
+    ::testing::Values(Shape::kProactive, Shape::kReactive, Shape::kPureSpot,
+                      Shape::kMultiMarket, Shape::kForecastPortfolio, Shape::kFaults),
+    [](const ::testing::TestParamInfo<Shape>& arm) { return shape_name(arm.param); });
 
 TEST(InterestFanout, DeliversAtMostTwoPercentOfFullFanoutVisits) {
   sched::Scenario scenario;

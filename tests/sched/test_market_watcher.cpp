@@ -94,10 +94,10 @@ TEST_F(MarketWatcherTest, DeliversPriceTriggersToInterestedListenersOnly) {
   std::vector<std::pair<MarketId, double>> seen_b;
   const auto la = add_listener([&](const MarketWatcher::Trigger& t) {
     ASSERT_EQ(t.kind, MarketWatcher::TriggerKind::kPriceChange);
-    seen_a.emplace_back(t.market, t.price);
+    seen_a.emplace_back(provider_->market(t.market).id(), t.price);
   });
   const auto lb = add_listener([&](const MarketWatcher::Trigger& t) {
-    seen_b.emplace_back(t.market, t.price);
+    seen_b.emplace_back(provider_->market(t.market).id(), t.price);
   });
   watcher_->watch(la, {kA});
   watcher_->watch(lb, {kB});
@@ -234,10 +234,11 @@ TEST_F(InterestIndexTest, DeliversAlwaysAndAboveHitsInWatchOrder) {
   const auto l6 = tagged(6);
   for (const auto id : {l1, l2, l3, l4, l5}) watcher->watch(id, {pa});
   watcher->watch(l6, {pb, pa});
-  watcher->set_interest(l2, Interest::above(pa, 0.05));
-  watcher->set_interest(l3, Interest::above(pa, 0.01));
+  watcher->set_interest(l2, Interest::above(provider.index(pa), 0.05));
+  watcher->set_interest(l3, Interest::above(provider.index(pa), 0.01));
   watcher->set_interest(l4, Interest::none());
-  watcher->set_interest(l6, Interest::above(pb, 0.0));  // other market only
+  // Other market only.
+  watcher->set_interest(l6, Interest::above(provider.index(pb), 0.0));
 
   EXPECT_EQ(step(pa, 0.03), (std::vector<int>{1, 3, 5}));
   EXPECT_EQ(step(pa, 0.06), (std::vector<int>{1, 2, 3, 5}));
@@ -252,7 +253,7 @@ TEST_F(InterestIndexTest, DeliversAlwaysAndAboveHitsInWatchOrder) {
 TEST_F(InterestIndexTest, EdgeIsStrict) {
   const auto id = tagged(1);
   watcher->watch(id, {pa});
-  watcher->set_interest(id, Interest::above(pa, 0.03));
+  watcher->set_interest(id, Interest::above(provider.index(pa), 0.03));
   EXPECT_TRUE(step(pa, 0.03).empty());  // p1 == edge: not above
   EXPECT_EQ(step(pa, std::nextafter(0.03, 1.0)), (std::vector<int>{1}));
   EXPECT_TRUE(step(pa, 0.01).empty());
@@ -266,7 +267,7 @@ TEST_F(InterestIndexTest, StepWithoutInterestedListenersDeliversNothing) {
   // A kAbove interest in a market the listener does not watch is inert.
   const auto other = tagged(2);
   watcher->watch(other, {pb});
-  watcher->set_interest(other, Interest::above(pa, 0.0));
+  watcher->set_interest(other, Interest::above(provider.index(pa), 0.0));
   EXPECT_TRUE(step(pa, 0.6).empty());
   EXPECT_EQ(watcher->stats().price_steps, 2u);
   EXPECT_EQ(watcher->stats().deliveries, 0u);
@@ -287,7 +288,7 @@ TEST_F(InterestIndexTest, InterestChangedMidDispatchAppliesFromNextStep) {
   self = tagged(1, [&] {
     watcher->set_interest(gains, Interest::always());
     watcher->set_interest(loses, Interest::none());
-    watcher->set_interest(self, Interest::above(pa, 0.5));
+    watcher->set_interest(self, Interest::above(provider.index(pa), 0.5));
   });
   gains = tagged(2);
   loses = tagged(3);
@@ -305,7 +306,7 @@ TEST_F(InterestIndexTest, TombstonedListenersAreSkippedAndInert) {
   victim = tagged(2);
   const auto bystander = tagged(3);
   for (const auto id : {killer, victim, bystander}) watcher->watch(id, {pa});
-  watcher->set_interest(victim, Interest::above(pa, 0.0));
+  watcher->set_interest(victim, Interest::above(provider.index(pa), 0.0));
 
   // Removed mid-dispatch, after the step collected it: still skipped.
   EXPECT_EQ(step(pa, 0.03), (std::vector<int>{1, 3}));
@@ -328,16 +329,16 @@ TEST_F(InterestIndexTest, ReentrantDispatchKeepsOuterBatchIntact) {
   // trigger, recipients after the reentry point included.
   std::vector<std::pair<MarketId, double>> seen_a, seen_b, seen_c;
   FnListener listener_a([&](const MarketWatcher::Trigger& t) {
-    seen_a.emplace_back(t.market, t.price);
+    seen_a.emplace_back(provider.market(t.market).id(), t.price);
   });
   FnListener reentrant([&](const MarketWatcher::Trigger&) {
     provider.market(pb).push_price(0.01);
   });
   FnListener listener_b([&](const MarketWatcher::Trigger& t) {
-    seen_b.emplace_back(t.market, t.price);
+    seen_b.emplace_back(provider.market(t.market).id(), t.price);
   });
   FnListener listener_c([&](const MarketWatcher::Trigger& t) {
-    seen_c.emplace_back(t.market, t.price);
+    seen_c.emplace_back(provider.market(t.market).id(), t.price);
   });
   const auto id_a = watcher->add_listener(&listener_a);
   const auto id_r = watcher->add_listener(&reentrant);
@@ -347,7 +348,7 @@ TEST_F(InterestIndexTest, ReentrantDispatchKeepsOuterBatchIntact) {
   watcher->watch(id_r, {pa});
   watcher->watch(id_c, {pa});
   watcher->watch(id_b, {pb});
-  watcher->set_interest(id_c, Interest::above(pa, 0.0));
+  watcher->set_interest(id_c, Interest::above(provider.index(pa), 0.0));
 
   provider.market(pa).push_price(0.03);
 

@@ -211,7 +211,8 @@ TEST_F(PlacementTest, CustomPolicyDrivesInitialAcquisitionEndToEnd) {
   EXPECT_EQ(scheduler_->placement().name(), "cheapest-region");
   EXPECT_EQ(scheduler_->state(), CloudScheduler::State::kOnSpot);
   ASSERT_NE(scheduler_->current_instance(), cloud::kInvalidInstance);
-  EXPECT_EQ(provider_->instance(scheduler_->current_instance()).market, kAway);
+  EXPECT_EQ(provider_->instance(scheduler_->current_instance()).market,
+            provider_->index(kAway));
   EXPECT_EQ(scheduler_->stats().forced, 0);
 }
 
@@ -220,7 +221,8 @@ TEST_F(PlacementTest, DefaultPolicySameWorldStaysHome) {
   run_with(proactive_config(kHome));  // kSingleMarket scope, no custom policy
   EXPECT_EQ(scheduler_->placement().name(), "scoped");
   ASSERT_NE(scheduler_->current_instance(), cloud::kInvalidInstance);
-  EXPECT_EQ(provider_->instance(scheduler_->current_instance()).market, kHome);
+  EXPECT_EQ(provider_->instance(scheduler_->current_instance()).market,
+            provider_->index(kHome));
 }
 
 }  // namespace
