@@ -37,7 +37,7 @@ class PinnedMarketPolicy final : public sched::PlacementPolicy {
   [[nodiscard]] std::optional<sched::Placement> choose_spot(
       const cloud::CloudProvider& provider, const sched::SchedulerConfig& config,
       const sched::PlacementQuery& query) const override {
-    if (query.exclude == pin_) return std::nullopt;
+    if (query.exclude == provider.index(pin_)) return std::nullopt;
     if (sched::effective_spot_price(provider, pin_, query.units_needed) >=
         query.max_effective_price) {
       return std::nullopt;

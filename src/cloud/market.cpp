@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "trace/stats.hpp"
+
 namespace spothost::cloud {
 
 SpotMarket::SpotMarket(sim::Clock& clock, MarketId id,
@@ -51,8 +53,22 @@ double SpotMarket::price() const {
   return trace_.price_at(t, trace_cursor_);
 }
 
+double SpotMarket::price_stddev(sim::SimTime from, sim::SimTime to) const {
+  StddevMemo& memo = stddev_memo_;
+  if (!memo.valid || memo.from != from || memo.to != to) {
+    memo.value = trace::trace_stddev(trace_, from, to, memo.cursor);
+    memo.from = from;
+    memo.to = to;
+    memo.valid = true;
+  }
+  return memo.value;
+}
+
 const trace::PriceTrace& SpotMarket::billable_trace(sim::SimTime through) {
-  if (push_fed_ && trace_.end() < through) trace_.set_end(through);
+  if (push_fed_ && trace_.end() < through) {
+    trace_.set_end(through);
+    stddev_memo_.valid = false;
+  }
   return trace_;
 }
 
@@ -92,6 +108,7 @@ void SpotMarket::prime(double price) {
   primed_ = true;
   live_price_ = price;
   trace_.append(clock_.now(), price);
+  stddev_memo_.valid = false;
 }
 
 void SpotMarket::stage(sim::SimTime at, double price) {
@@ -129,6 +146,7 @@ void SpotMarket::commit_staged() {
   } else {
     trace_.append(at, staged_price_);
   }
+  stddev_memo_.valid = false;
   // A repeated price is not a price step: trace mode never dispatches one
   // either, because PriceTrace::append merges equal consecutive prices.
   if (changed) dispatch(staged_price_);

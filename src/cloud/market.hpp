@@ -103,6 +103,12 @@ class SpotMarket {
   /// until prime() has supplied the first price.
   [[nodiscard]] double price() const;
 
+  /// trace::trace_stddev(price_trace(), from, to), remembered for the last
+  /// (from, to) asked: every service placing at one instant asks each
+  /// candidate market for the same trailing window, so the walk runs once.
+  /// Any change to the trace forgets the answer.
+  [[nodiscard]] double price_stddev(sim::SimTime from, sim::SimTime to) const;
+
   /// Registers a price-change observer; fires on every change event.
   SubscriptionId subscribe(PriceObserver observer);
   /// Interface flavour (not owned; must outlive the subscription). The hot
@@ -155,6 +161,18 @@ class SpotMarket {
   // because price() is logically const (the trace itself is never mutated —
   // cursor state is the reader's, see trace/price_trace.hpp).
   mutable trace::PriceCursor trace_cursor_;
+  // price_stddev's one-entry memo, logically const like the cursor. Every
+  // trace mutation (prime, commit_staged, billable_trace's end extension)
+  // invalidates it; a trace-fed market's trace never changes. Its cursor
+  // follows the trailing window's start.
+  struct StddevMemo {
+    bool valid = false;
+    sim::SimTime from = 0;
+    sim::SimTime to = 0;
+    double value = 0.0;
+    trace::PriceCursor cursor;
+  };
+  mutable StddevMemo stddev_memo_;
   double on_demand_price_;
   void dispatch(double new_price);
 

@@ -192,9 +192,7 @@ std::string_view code_label(EventKind kind, std::uint8_t c) noexcept {
   }
 }
 
-std::string to_jsonl(const TraceEvent& e) {
-  std::string out;
-  out.reserve(128 + e.market.size() + e.note.size());
+void append_jsonl(std::string& out, const TraceEvent& e) {
   out += "{\"t\":";
   append_int(out, e.t);
   out += ",\"kind\":\"";
@@ -212,6 +210,12 @@ std::string to_jsonl(const TraceEvent& e) {
   out += "\",\"note\":\"";
   append_escaped(out, e.note);
   out += "\"}";
+}
+
+std::string to_jsonl(const TraceEvent& e) {
+  std::string out;
+  out.reserve(128 + e.market.size() + e.note.size());
+  append_jsonl(out, e);
   return out;
 }
 

@@ -135,6 +135,10 @@ std::string_view code_label(EventKind kind, std::uint8_t c) noexcept;
 ///    "aux":0,"market":"us-east-1a/small","note":""}
 std::string to_jsonl(const TraceEvent& event);
 
+/// Appends to_jsonl(event) to `out` (no newline), so a caller encoding many
+/// events can reuse one buffer.
+void append_jsonl(std::string& out, const TraceEvent& event);
+
 /// Parses a line produced by to_jsonl; nullopt on malformed input.
 std::optional<TraceEvent> from_jsonl(std::string_view line);
 

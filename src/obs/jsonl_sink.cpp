@@ -15,7 +15,10 @@ JsonlSink::JsonlSink(const std::string& path)
 }
 
 void JsonlSink::on_event(const TraceEvent& event) {
-  *out_ << to_jsonl(event) << '\n';
+  line_.clear();
+  append_jsonl(line_, event);
+  line_ += '\n';
+  out_->write(line_.data(), static_cast<std::streamsize>(line_.size()));
   ++written_;
 }
 

@@ -29,6 +29,7 @@ class JsonlSink final : public TraceSink {
  private:
   std::unique_ptr<std::ofstream> owned_;  ///< set when constructed from a path
   std::ostream* out_;
+  std::string line_;  ///< reused encode buffer: one write per event
   std::uint64_t written_ = 0;
 };
 

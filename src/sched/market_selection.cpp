@@ -66,24 +66,36 @@ std::vector<cloud::MarketId> candidate_markets(
   return {home};
 }
 
+std::vector<cloud::MarketIndex> candidate_indices(
+    const cloud::CloudProvider& provider, MarketScope scope,
+    const cloud::MarketId& home, const std::vector<std::string>& allowed_regions) {
+  std::vector<cloud::MarketIndex> out;
+  for (const auto& market :
+       candidate_markets(provider, scope, home, allowed_regions)) {
+    out.push_back(provider.index(market));
+  }
+  return out;
+}
+
 double trailing_stddev(const cloud::CloudProvider& provider,
-                       const cloud::MarketId& market, sim::SimTime now,
+                       cloud::MarketIndex market, sim::SimTime now,
                        sim::SimTime window) {
-  const auto& price_trace = provider.market(market).price_trace();
+  const cloud::SpotMarket& m = provider.market(market);
+  const auto& price_trace = m.price_trace();
   const sim::SimTime from = std::max(price_trace.start(), now - window);
   const sim::SimTime to = std::max(from + sim::kMinute, now);
   const sim::SimTime clamped_to = std::min(to, price_trace.end());
   if (clamped_to <= from) return 0.0;
-  return trace::trace_stddev(price_trace, from, clamped_to);
+  return m.price_stddev(from, clamped_to);
 }
 
-std::optional<cloud::MarketId> best_spot_market(
+std::optional<cloud::MarketIndex> best_spot_market(
     const cloud::CloudProvider& provider,
-    const std::vector<cloud::MarketId>& candidates, const SelectionOptions& options) {
-  std::optional<cloud::MarketId> best;
+    std::span<const cloud::MarketIndex> candidates, const SelectionOptions& options) {
+  std::optional<cloud::MarketIndex> best;
   double best_score = std::numeric_limits<double>::infinity();
-  for (const auto& market : candidates) {
-    if (options.exclude && *options.exclude == market) continue;
+  for (const cloud::MarketIndex market : candidates) {
+    if (options.exclude == market) continue;
     if (std::find(options.avoid.begin(), options.avoid.end(), market) !=
         options.avoid.end()) {
       continue;

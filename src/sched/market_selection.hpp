@@ -8,6 +8,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,10 +48,16 @@ std::vector<cloud::MarketId> candidate_markets(
     const cloud::CloudProvider& provider, MarketScope scope,
     const cloud::MarketId& home, const std::vector<std::string>& allowed_regions);
 
+/// candidate_markets as MarketIndex, in the same order.
+std::vector<cloud::MarketIndex> candidate_indices(
+    const cloud::CloudProvider& provider, MarketScope scope,
+    const cloud::MarketId& home, const std::vector<std::string>& allowed_regions);
+
 /// Trailing price volatility of a market (stddev over [now - window, now)),
-/// used by the stability-aware extension (paper Sec. 8 future work).
+/// used by the stability-aware extension (paper Sec. 8 future work). Reads
+/// through the market's SpotMarket::price_stddev memo.
 double trailing_stddev(const cloud::CloudProvider& provider,
-                       const cloud::MarketId& market, sim::SimTime now,
+                       cloud::MarketIndex market, sim::SimTime now,
                        sim::SimTime window);
 
 struct SelectionOptions {
@@ -58,10 +65,10 @@ struct SelectionOptions {
   /// Markets whose effective price is >= this threshold are excluded.
   double max_effective_price = 0.0;
   /// Exclude this market (typically the one currently held).
-  std::optional<cloud::MarketId> exclude;
+  std::optional<cloud::MarketIndex> exclude;
   /// Additional markets to skip — those that recently failed allocation
   /// (the fault-recovery retry chain walks to the next-cheapest market).
-  std::vector<cloud::MarketId> avoid{};
+  std::vector<cloud::MarketIndex> avoid{};
   /// Stability-aware scoring: score = eff_price + weight * trailing stddev.
   StabilityPolicy stability = StabilityPolicy::kIgnore;
   double stability_penalty_weight = 1.0;
@@ -69,10 +76,11 @@ struct SelectionOptions {
   sim::SimTime now = 0;
 };
 
-/// Cheapest (by score) candidate below the threshold, or nullopt.
-std::optional<cloud::MarketId> best_spot_market(
+/// Cheapest (by score) candidate below the threshold, or nullopt; ties go
+/// to the earlier candidate.
+std::optional<cloud::MarketIndex> best_spot_market(
     const cloud::CloudProvider& provider,
-    const std::vector<cloud::MarketId>& candidates, const SelectionOptions& options);
+    std::span<const cloud::MarketIndex> candidates, const SelectionOptions& options);
 
 /// Region with the lowest on-demand price for `size` among `regions`.
 std::string cheapest_on_demand_region(const cloud::CloudProvider& provider,

@@ -26,12 +26,13 @@ std::optional<Placement> ScopedPlacementPolicy::choose_spot(
   options.stability_penalty_weight = config.stability_penalty_weight;
   options.stability_window = config.stability_window;
   options.now = query.now;
-  const auto candidates = candidate_markets(provider, config.scope,
-                                            config.home_market, config.allowed_regions);
-  const auto best = best_spot_market(provider, candidates, options);
+  std::vector<cloud::MarketIndex> storage;
+  const auto best = best_spot_market(
+      provider, candidates_for(provider, config, query, storage), options);
   if (!best) return std::nullopt;
-  return Placement{*best, /*on_demand=*/false,
-                   bid_strategy_for(config)->bid_for(provider, config, *best, query.now)};
+  const cloud::MarketId& market = provider.market(*best).id();
+  return Placement{market, /*on_demand=*/false,
+                   bid_strategy_for(config)->bid_for(provider, config, market, query.now)};
 }
 
 Placement ScopedPlacementPolicy::choose_on_demand(const cloud::CloudProvider& provider,
@@ -46,6 +47,15 @@ Placement ScopedPlacementPolicy::choose_on_demand(const cloud::CloudProvider& pr
   }
   return Placement{cloud::MarketId{region, config.home_market.size},
                    /*on_demand=*/true, 0.0};
+}
+
+std::span<const cloud::MarketIndex> candidates_for(
+    const cloud::CloudProvider& provider, const SchedulerConfig& config,
+    const PlacementQuery& query, std::vector<cloud::MarketIndex>& storage) {
+  if (!query.candidates.empty()) return query.candidates;
+  storage = candidate_indices(provider, config.scope, config.home_market,
+                              config.allowed_regions);
+  return storage;
 }
 
 std::shared_ptr<const PlacementPolicy> placement_policy_for(

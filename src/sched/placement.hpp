@@ -22,6 +22,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -46,11 +47,15 @@ struct PlacementQuery {
   /// Spot destinations at or above this effective $/hr do not qualify.
   double max_effective_price = 0.0;
   /// Market to exclude (the one currently held, when on spot).
-  std::optional<cloud::MarketId> exclude;
+  std::optional<cloud::MarketIndex> exclude;
   /// Markets that recently failed allocation (injected capacity faults):
   /// the fault-recovery retry chain grows this list so each retry falls
   /// back to the next-cheapest market, then on-demand when none remain.
-  std::vector<cloud::MarketId> avoid{};
+  std::vector<cloud::MarketIndex> avoid{};
+  /// The config's scope candidates (candidate_indices), resolved once by the
+  /// CloudScheduler that owns the config and valid for this call only.
+  /// Empty means unresolved: read them through candidates_for().
+  std::span<const cloud::MarketIndex> candidates{};
   /// Region of the on-demand fallback (the current region, else home).
   std::string fallback_region;
   sim::SimTime now = 0;
@@ -113,6 +118,12 @@ class ScopedPlacementPolicy final : public PlacementPolicy {
                                            const SchedulerConfig& config,
                                            const PlacementQuery& query) const override;
 };
+
+/// query.candidates, or, for a query built without them, the config's scope
+/// candidates resolved into `storage`.
+std::span<const cloud::MarketIndex> candidates_for(
+    const cloud::CloudProvider& provider, const SchedulerConfig& config,
+    const PlacementQuery& query, std::vector<cloud::MarketIndex>& storage);
 
 /// The policy a config selects: config.placement if set, else a shared
 /// immutable ScopedPlacementPolicy.

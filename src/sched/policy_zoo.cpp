@@ -14,9 +14,9 @@ namespace {
 
 /// Mirrors best_spot_market's filter: a candidate qualifies when it is not
 /// excluded/avoided and its effective price is strictly below the ceiling.
-bool qualifies(const cloud::MarketId& market, const PlacementQuery& query,
+bool qualifies(cloud::MarketIndex market, const PlacementQuery& query,
                double effective_price) {
-  if (query.exclude && *query.exclude == market) return false;
+  if (query.exclude == market) return false;
   if (std::find(query.avoid.begin(), query.avoid.end(), market) !=
       query.avoid.end()) {
     return false;
@@ -68,14 +68,15 @@ std::optional<Placement> PortfolioPlacementPolicy::choose_spot(
     const cloud::CloudProvider& provider, const SchedulerConfig& config,
     const PlacementQuery& query) const {
   struct Entry {
-    cloud::MarketId market;
+    cloud::MarketIndex market = 0;
     double eff = 0.0;
     double weight = 0.0;
   };
+  std::vector<cloud::MarketIndex> storage;
+  const auto candidates = candidates_for(provider, config, query, storage);
   std::vector<Entry> basket;
-  for (const auto& market : candidate_markets(provider, config.scope,
-                                              config.home_market,
-                                              config.allowed_regions)) {
+  basket.reserve(candidates.size());
+  for (const cloud::MarketIndex market : candidates) {
     const double eff =
         effective_spot_price(provider, market, query.units_needed);
     if (!qualifies(market, query, eff)) continue;
@@ -85,11 +86,12 @@ std::optional<Placement> PortfolioPlacementPolicy::choose_spot(
   }
   if (basket.empty()) return std::nullopt;
 
-  // Stable-first basket, with fully deterministic tie-breaks.
-  std::sort(basket.begin(), basket.end(), [](const Entry& a, const Entry& b) {
+  // Stable-first basket, with fully deterministic tie-breaks (the last one
+  // by market name).
+  std::sort(basket.begin(), basket.end(), [&provider](const Entry& a, const Entry& b) {
     if (a.weight != b.weight) return a.weight > b.weight;
     if (a.eff != b.eff) return a.eff < b.eff;
-    return a.market.str() < b.market.str();
+    return provider.name(a.market) < provider.name(b.market);
   });
   if (basket.size() > static_cast<std::size_t>(params_.basket_size)) {
     basket.resize(static_cast<std::size_t>(params_.basket_size));
@@ -114,9 +116,10 @@ std::optional<Placement> PortfolioPlacementPolicy::choose_spot(
       break;
     }
   }
-  const double bid = bid_strategy_for(config)->bid_for(provider, config,
-                                                       pick->market, query.now);
-  return Placement{pick->market, /*on_demand=*/false, bid};
+  const cloud::MarketId& market = provider.market(pick->market).id();
+  const double bid =
+      bid_strategy_for(config)->bid_for(provider, config, market, query.now);
+  return Placement{market, /*on_demand=*/false, bid};
 }
 
 Placement PortfolioPlacementPolicy::choose_on_demand(
@@ -172,32 +175,35 @@ std::optional<Placement> RevocationAwarePolicy::choose_spot(
     const cloud::CloudProvider& provider, const SchedulerConfig& config,
     const PlacementQuery& query) const {
   struct Entry {
-    cloud::MarketId market;
+    cloud::MarketIndex market = 0;
     double eff = 0.0;
     double bid = 0.0;
     double ttr_hours = 0.0;
   };
   const auto strategy = bid_strategy_for(config);
   std::optional<Entry> best;
-  for (const auto& market : candidate_markets(provider, config.scope,
-                                              config.home_market,
-                                              config.allowed_regions)) {
+  std::vector<cloud::MarketIndex> storage;
+  for (const cloud::MarketIndex market :
+       candidates_for(provider, config, query, storage)) {
     const double eff =
         effective_spot_price(provider, market, query.units_needed);
     if (!qualifies(market, query, eff)) continue;
+    const cloud::SpotMarket& spot = provider.market(market);
     Entry entry{market, eff,
-                strategy->bid_for(provider, config, market, query.now), 0.0};
-    entry.ttr_hours = predicted_ttr_hours(
-        provider.market(market).price_trace(), entry.bid, query.now);
+                strategy->bid_for(provider, config, spot.id(), query.now), 0.0};
+    entry.ttr_hours =
+        predicted_ttr_hours(spot.price_trace(), entry.bid, query.now);
     const bool better =
         !best || entry.ttr_hours > best->ttr_hours ||
         (entry.ttr_hours == best->ttr_hours &&
          (entry.eff < best->eff ||
-          (entry.eff == best->eff && entry.market.str() < best->market.str())));
+          (entry.eff == best->eff &&
+           provider.name(entry.market) < provider.name(best->market))));
     if (better) best = entry;
   }
   if (!best) return std::nullopt;
-  return Placement{best->market, /*on_demand=*/false, best->bid};
+  return Placement{provider.market(best->market).id(), /*on_demand=*/false,
+                   best->bid};
 }
 
 Placement RevocationAwarePolicy::choose_on_demand(

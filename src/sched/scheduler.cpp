@@ -82,6 +82,8 @@ CloudScheduler::CloudScheduler(sim::Clock& clock,
   if (config_.scope == MarketScope::kMultiRegion && config_.allowed_regions.empty()) {
     config_.allowed_regions = provider_.regions();
   }
+  candidates_ = candidate_indices(provider_, config_.scope, config_.home_market,
+                                  config_.allowed_regions);
   placement_ = placement_policy_for(config_);
   bidding_ = bid_strategy_for(config_);
   MigrationHost& host = *this;  // private base: convert in class scope
@@ -133,9 +135,10 @@ PlacementQuery CloudScheduler::placement_query(double threshold) const {
   query.units_needed = units_needed();
   query.max_effective_price = threshold;
   if (holding_ && !holding_->on_demand) {
-    query.exclude = provider_.market(holding_->market).id();
+    query.exclude = holding_->market;
   }
   query.avoid = avoid_markets_;
+  query.candidates = candidates_;
   query.fallback_region = provider_.market(current_market()).id().region;
   query.now = clock_.now();
   return query;
@@ -283,11 +286,10 @@ void CloudScheduler::acquire_initial() {
 void CloudScheduler::on_acquire_capacity_failed(MarketIndex market, bool was_spot) {
   // Only skip the failed market when a fallback exists; the pure-spot
   // baseline (and an on-demand failure) must keep retrying the same market.
-  const cloud::MarketId& id = provider_.market(market).id();
   if (was_spot && config_.on_demand_allowed() &&
-      std::find(avoid_markets_.begin(), avoid_markets_.end(), id) ==
+      std::find(avoid_markets_.begin(), avoid_markets_.end(), market) ==
           avoid_markets_.end()) {
-    avoid_markets_.push_back(id);
+    avoid_markets_.push_back(market);
   }
   const int attempt = ++acquire_attempts_;
   const RetryPolicy& retry = config_.retry;

@@ -194,6 +194,9 @@ class CloudScheduler : private MigrationHost,
   std::unique_ptr<MigrationEngine> engine_;
   MarketWatcher::ListenerId listener_ = MarketWatcher::kInvalidListener;
   cloud::MarketIndex home_ = 0;  ///< config_.home_market
+  /// config_'s scope candidates, resolved once; every PlacementQuery
+  /// carries them.
+  std::vector<cloud::MarketIndex> candidates_;
 
   State state_ = State::kAcquiring;
   bool service_live_ = false;
@@ -206,7 +209,7 @@ class CloudScheduler : private MigrationHost,
   int acquire_attempts_ = 0;  ///< capacity-failed acquisitions this episode
   /// Markets that capacity-failed this episode; placement skips them so each
   /// retry walks to the next-cheapest market and finally on-demand.
-  std::vector<cloud::MarketId> avoid_markets_;
+  std::vector<cloud::MarketIndex> avoid_markets_;
   bool degraded_acquire_ = false;  ///< slow-poll degraded mode announced
   /// Edge-triggered crossings of the on-demand threshold, relative to the
   /// adopted market. Reset whenever a new instance is adopted.

@@ -39,8 +39,12 @@ double RngStream::exponential(double mean) {
 }
 
 double RngStream::normal(double mean, double stddev) {
-  std::normal_distribution<double> d(mean, stddev);
-  return d(engine_);
+  if (stddev < 0) throw std::invalid_argument("normal: stddev must be >= 0");
+  // Scale a unit draw by hand: std::normal_distribution requires stddev > 0.
+  // The engine advances exactly as it would for a (mean, stddev) draw.
+  std::normal_distribution<double> d(0.0, 1.0);
+  const double z = d(engine_);
+  return z * stddev + mean;
 }
 
 double RngStream::lognormal_mean_cv(double mean, double cv) {

@@ -32,7 +32,8 @@ class RngStream {
   /// Exponential with the given mean (> 0).
   double exponential(double mean);
 
-  /// Normal with the given mean and standard deviation.
+  /// Normal with the given mean and standard deviation (>= 0). Every
+  /// stddev advances the stream alike; 0 returns `mean` exactly.
   double normal(double mean, double stddev);
 
   /// Log-normal parameterised by the *target* mean and coefficient of

@@ -56,25 +56,21 @@ TraceFeatures extract_features(const PriceTrace& price_trace,
   // intersecting [from, to) — over the full window that count equals
   // size(), so changes_per_day is unchanged for full-trace callers.
   std::size_t segments = 0;
-  sim::SimTime t = from;
   bool in_excursion = false;
   sim::SimTime excursion_start = 0;
   sim::SimTime excursion_total = 0;
-  while (t < to) {
-    ++segments;
-    const double price = price_trace.price_at(t, cursor);
-    const auto next = price_trace.next_change_after(t, cursor);
-    const sim::SimTime segment_end = next ? std::min(next->time, to) : to;
-    if (price > reference_price && !in_excursion) {
-      in_excursion = true;
-      excursion_start = t;
-    } else if (price <= reference_price && in_excursion) {
-      in_excursion = false;
-      ++f.excursions_above_reference;
-      excursion_total += t - excursion_start;
-    }
-    t = segment_end;
-  }
+  price_trace.for_each_segment(
+      from, to, cursor, [&](double price, sim::SimTime start, sim::SimTime) {
+        ++segments;
+        if (price > reference_price && !in_excursion) {
+          in_excursion = true;
+          excursion_start = start;
+        } else if (price <= reference_price && in_excursion) {
+          in_excursion = false;
+          ++f.excursions_above_reference;
+          excursion_total += start - excursion_start;
+        }
+      });
   f.changes_per_day = static_cast<double>(segments) / std::max(days, 1e-9);
   if (in_excursion) {
     ++f.excursions_above_reference;

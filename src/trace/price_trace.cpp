@@ -144,17 +144,11 @@ double PriceTrace::time_average(sim::SimTime from, sim::SimTime to) const {
 double PriceTrace::time_average(sim::SimTime from, sim::SimTime to,
                                 PriceCursor& cursor) const {
   check_interval("time_average", from, to);
-  std::size_t i = index_at(from, cursor);
   double weighted = 0.0;
-  sim::SimTime t = from;
-  while (t < to) {
-    const sim::SimTime seg_end =
-        (i + 1 < points_.size()) ? std::min(points_[i + 1].time, to) : to;
-    weighted += points_[i].price * static_cast<double>(seg_end - t);
-    t = seg_end;
-    if (t < to) ++i;
-  }
-  cursor.index_ = i;
+  for_each_segment(from, to, cursor,
+                   [&](double price, sim::SimTime start, sim::SimTime end) {
+                     weighted += price * static_cast<double>(end - start);
+                   });
   return weighted / static_cast<double>(to - from);
 }
 
@@ -167,17 +161,11 @@ double PriceTrace::fraction_below(double threshold, sim::SimTime from,
 double PriceTrace::fraction_below(double threshold, sim::SimTime from,
                                   sim::SimTime to, PriceCursor& cursor) const {
   check_interval("fraction_below", from, to);
-  std::size_t i = index_at(from, cursor);
   sim::SimTime below = 0;
-  sim::SimTime t = from;
-  while (t < to) {
-    const sim::SimTime seg_end =
-        (i + 1 < points_.size()) ? std::min(points_[i + 1].time, to) : to;
-    if (points_[i].price < threshold) below += seg_end - t;
-    t = seg_end;
-    if (t < to) ++i;
-  }
-  cursor.index_ = i;
+  for_each_segment(from, to, cursor,
+                   [&](double price, sim::SimTime start, sim::SimTime end) {
+                     if (price < threshold) below += end - start;
+                   });
   return static_cast<double>(below) / static_cast<double>(to - from);
 }
 

@@ -21,6 +21,8 @@
 
 namespace spothost::trace {
 
+struct TraceFeatures;  // trace/features.hpp
+
 struct PricePoint {
   sim::SimTime time;  ///< instant the price takes effect
   double price;       ///< $/hour from `time` until the next point
@@ -131,6 +133,35 @@ class PriceTrace {
   // monotone common case, binary search otherwise; leaves the cursor at the
   // result.
   [[nodiscard]] std::size_t index_at(sim::SimTime t, PriceCursor& cursor) const;
+
+  // The segment walk under every interval statistic: calls
+  // fn(price, seg_start, seg_end) for each segment of the step function
+  // over [from, to), in time order. One index_at(from), then a plain ++i
+  // per segment: every segment but the last ends at the next point, the
+  // last at `to`. Leaves the cursor at the last segment. The caller has
+  // validated the interval (from < to <= end()).
+  template <typename Fn>
+  void for_each_segment(sim::SimTime from, sim::SimTime to, PriceCursor& cursor,
+                        Fn&& fn) const {
+    std::size_t i = index_at(from, cursor);
+    const std::size_t last = points_.size() - 1;
+    sim::SimTime t = from;
+    while (i < last && points_[i + 1].time < to) {
+      const sim::SimTime seg_end = points_[i + 1].time;
+      fn(points_[i].price, t, seg_end);
+      t = seg_end;
+      ++i;
+    }
+    fn(points_[i].price, t, to);
+    cursor.index_ = i;
+  }
+  // The walks outside this class that share it (trace/stats.cpp,
+  // trace/features.cpp).
+  friend double trace_stddev(const PriceTrace& trace, sim::SimTime from,
+                             sim::SimTime to, PriceCursor& cursor);
+  friend TraceFeatures extract_features(const PriceTrace& price_trace,
+                                        double reference_price, sim::SimTime from,
+                                        sim::SimTime to);
 
   // Shared [from, to) validation for the interval statistics.
   void check_interval(const char* name, sim::SimTime from, sim::SimTime to) const;

@@ -46,19 +46,24 @@ double pearson(std::span<const double> xs, std::span<const double> ys) {
 }
 
 double trace_stddev(const PriceTrace& trace, sim::SimTime from, sim::SimTime to) {
-  if (from >= to) throw std::invalid_argument("trace_stddev: empty interval");
   PriceCursor cursor;
-  const double m = trace.time_average(from, to, cursor);
-  // Walk the step function segments and accumulate weighted squared error.
+  return trace_stddev(trace, from, to, cursor);
+}
+
+double trace_stddev(const PriceTrace& trace, sim::SimTime from, sim::SimTime to,
+                    PriceCursor& cursor) {
+  trace.check_interval("trace_stddev", from, to);
+  // Both passes start at from's segment: locate it once.
+  (void)trace.index_at(from, cursor);
+  PriceCursor pass = cursor;
+  const double m = trace.time_average(from, to, pass);
+  // Second pass over the same segments: the weighted squared error.
+  pass = cursor;
   double acc = 0.0;
-  sim::SimTime t = from;
-  while (t < to) {
-    const double p = trace.price_at(t, cursor);
-    const auto next = trace.next_change_after(t, cursor);
-    const sim::SimTime seg_end = next ? std::min(next->time, to) : to;
-    acc += (p - m) * (p - m) * static_cast<double>(seg_end - t);
-    t = seg_end;
-  }
+  trace.for_each_segment(from, to, pass,
+                         [&](double p, sim::SimTime start, sim::SimTime end) {
+                           acc += (p - m) * (p - m) * static_cast<double>(end - start);
+                         });
   return std::sqrt(acc / static_cast<double>(to - from));
 }
 

@@ -22,6 +22,11 @@ double pearson(std::span<const double> xs, std::span<const double> ys);
 /// Time-weighted standard deviation of a trace over [from, to) — exact over
 /// the step function, matching Fig. 10's per-market variability measure.
 double trace_stddev(const PriceTrace& trace, sim::SimTime from, sim::SimTime to);
+/// Cursor flavour: locates `from` starting at `cursor` and leaves the cursor
+/// there, so a reader whose windows slide forward (a market's trailing
+/// window) finds each start with a short scan.
+double trace_stddev(const PriceTrace& trace, sim::SimTime from, sim::SimTime to,
+                    PriceCursor& cursor);
 
 /// Pearson correlation of two traces sampled on a uniform grid over their
 /// common validity window — matching Fig. 8(b)/9(b).

@@ -1,5 +1,6 @@
 #include "cloud/market.hpp"
 #include "simcore/simulation.hpp"
+#include "trace/stats.hpp"
 
 #include <gtest/gtest.h>
 
@@ -111,6 +112,67 @@ TEST(SpotMarket, PriceClampedAtHorizonEdge) {
   m.start();
   s.run_until(kHour);  // clock parked exactly at trace end
   EXPECT_DOUBLE_EQ(m.price(), 0.03);
+}
+
+TEST(SpotMarket, PriceStddevMatchesTraceStddev) {
+  sim::Simulation s;
+  SpotMarket m(s, MarketId{"r", InstanceSize::kSmall}, simple_trace(), 0.06);
+  const trace::PriceTrace& t = m.price_trace();
+  // Alternating windows, each asked twice: no answer leaks into another.
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(m.price_stddev(0, kHour), trace::trace_stddev(t, 0, kHour));
+    EXPECT_EQ(m.price_stddev(0, kHour), trace::trace_stddev(t, 0, kHour));
+    EXPECT_EQ(m.price_stddev(5 * kMinute, kHour),
+              trace::trace_stddev(t, 5 * kMinute, kHour));
+    EXPECT_EQ(m.price_stddev(0, 15 * kMinute),
+              trace::trace_stddev(t, 0, 15 * kMinute));
+  }
+  EXPECT_NE(m.price_stddev(0, 15 * kMinute), m.price_stddev(0, kHour));
+}
+
+// A push-fed market's trace changes under a fixed window: a commit appends
+// inside a window billable_trace has extended, and a second update in the
+// same millisecond amends that point. Each must reach price_stddev.
+TEST(SpotMarket, PriceStddevMemoForgetsEveryTraceChange) {
+  sim::Simulation s;
+  SpotMarket m(s, MarketId{"r", InstanceSize::kSmall}, 0.5);
+  m.start();
+  m.prime(0.02);
+  s.run_until(5 * kMinute);
+  m.push_price(0.04);
+  (void)m.billable_trace(20 * kMinute);
+  const auto fresh = [&] { return trace::trace_stddev(m.price_trace(), 0, 20 * kMinute); };
+
+  const double before = m.price_stddev(0, 20 * kMinute);
+  EXPECT_EQ(before, fresh());
+
+  s.run_until(10 * kMinute);
+  m.push_price(0.09);  // commit_staged appends at 10 min
+  const double appended = m.price_stddev(0, 20 * kMinute);
+  EXPECT_NE(appended, before);
+  EXPECT_EQ(appended, fresh());
+
+  m.push_price(0.30);  // same millisecond: amend_last rewrites that point
+  const double amended = m.price_stddev(0, 20 * kMinute);
+  EXPECT_NE(amended, appended);
+  EXPECT_EQ(amended, fresh());
+}
+
+TEST(SpotMarket, PriceStddevMemoForgetsPrimeAndEndExtension) {
+  sim::Simulation s;
+  SpotMarket m(s, MarketId{"r", InstanceSize::kSmall}, 0.5);
+  m.start();
+  m.prime(0.02);
+  s.run_until(5 * kMinute);
+  m.push_price(0.04);
+  (void)m.billable_trace(10 * kMinute);
+  const double short_window = m.price_stddev(0, 10 * kMinute);
+  EXPECT_EQ(short_window, trace::trace_stddev(m.price_trace(), 0, 10 * kMinute));
+  // Extending the end leaves the window's prices alone, so its answer too.
+  (void)m.billable_trace(30 * kMinute);
+  EXPECT_EQ(m.price_stddev(0, 10 * kMinute), short_window);
+  EXPECT_EQ(m.price_stddev(0, 30 * kMinute),
+            trace::trace_stddev(m.price_trace(), 0, 30 * kMinute));
 }
 
 }  // namespace

@@ -50,6 +50,47 @@ TEST(JsonlSink, WritesOneParsableLinePerEvent) {
   EXPECT_EQ(i, events.size());
 }
 
+// One event of every kind, with strings that need escaping.
+std::vector<TraceEvent> every_kind() {
+  std::vector<TraceEvent> out;
+  for (std::size_t k = 0; k < kEventKindCount; ++k) {
+    TraceEvent e;
+    e.t = static_cast<sim::SimTime>(1000 * k) - 7;
+    e.kind = static_cast<EventKind>(k);
+    e.code = static_cast<std::uint8_t>(k % kMaxCodes);
+    e.instance = k * 31;
+    e.value = 0.1 * static_cast<double>(k) + 1e-17;
+    e.aux = -1.0 / (static_cast<double>(k) + 3.0);
+    e.market = k % 2 == 0 ? "us-east-1a/small" : "eu\"west\\1a/x\tlarge";
+    e.note = k % 3 == 0 ? "" : "line\nbreak \"quoted\" \x01 ctl";
+    out.push_back(e);
+  }
+  return out;
+}
+
+TEST(JsonlSink, WritesExactlyToJsonlPlusNewlineForEveryKind) {
+  const auto events = every_kind();
+  std::ostringstream os;
+  JsonlSink sink(os);
+  std::string expected;
+  for (const auto& e : events) {
+    sink.on_event(e);
+    expected += to_jsonl(e) + '\n';
+  }
+  EXPECT_EQ(os.str(), expected);
+  EXPECT_EQ(sink.events_written(), events.size());
+}
+
+TEST(JsonlSink, AppendJsonlAppendsToJsonl) {
+  std::string buffer = "prefix|";
+  for (const auto& e : every_kind()) {
+    const std::size_t before = buffer.size();
+    append_jsonl(buffer, e);
+    EXPECT_EQ(buffer.substr(before), to_jsonl(e));
+  }
+  EXPECT_EQ(buffer.rfind("prefix|", 0), 0u);
+}
+
 TEST(JsonlSink, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "spothost_jsonl_sink_test.jsonl";
   const auto events = sample_events();

@@ -58,7 +58,7 @@ class CheapestRegionPolicy final : public PlacementPolicy {
     std::optional<Placement> best;
     double best_eff = 0.0;
     for (const auto& m : watched_markets(provider, config)) {
-      if (query.exclude && m == *query.exclude) continue;
+      if (query.exclude == provider.index(m)) continue;
       const double eff = effective_spot_price(provider, m, query.units_needed);
       if (eff >= query.max_effective_price) continue;
       if (!best || eff < best_eff) {
@@ -172,7 +172,7 @@ TEST_F(PlacementTest, ScopedHonoursExcludeAndCeiling) {
   const ScopedPlacementPolicy policy;
   PlacementQuery query;
   query.max_effective_price = 0.06;
-  query.exclude = kAway;
+  query.exclude = provider_->index(kAway);
   const auto spot = policy.choose_spot(*provider_, cfg, query);
   ASSERT_TRUE(spot.has_value());
   EXPECT_EQ(spot->market, kHome);

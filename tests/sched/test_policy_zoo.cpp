@@ -250,12 +250,12 @@ TEST_F(PolicyZooTest, PortfolioHonorsExcludeAvoidAndCeiling) {
   const PortfolioPlacementPolicy policy;
 
   PlacementQuery q = query_at(kHorizon);
-  q.exclude = kHome;
+  q.exclude = provider_->index(kHome);
   auto placement = policy.choose_spot(*provider_, cfg, q);
   ASSERT_TRUE(placement.has_value());
   EXPECT_EQ(placement->market, kAway);
 
-  q.avoid = {kAway};
+  q.avoid = {provider_->index(kAway)};
   EXPECT_FALSE(policy.choose_spot(*provider_, cfg, q).has_value());
 
   PlacementQuery priced_out = query_at(kHorizon);

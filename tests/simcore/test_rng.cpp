@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 namespace spothost::sim {
@@ -64,6 +65,33 @@ TEST(Rng, ExponentialRejectsNonPositiveMean) {
   RngStream r(1);
   EXPECT_THROW(r.exponential(0.0), std::invalid_argument);
   EXPECT_THROW(r.exponential(-1.0), std::invalid_argument);
+}
+
+TEST(Rng, NormalZeroStddevReturnsMeanAndConsumesOneDraw) {
+  // stddev 0 is a legal degenerate normal: it returns the mean exactly and
+  // advances the stream exactly as a draw with stddev 1 does, so a caller
+  // that zeroes a jitter sigma keeps every later draw where it was.
+  RngStream zero(29), unit(29);
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(zero.normal(3.5, 0.0), 3.5);
+    (void)unit.normal(3.5, 1.0);
+  }
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_EQ(zero.uniform(0, 1), unit.uniform(0, 1));
+  }
+}
+
+TEST(Rng, NormalScalesAUnitDraw) {
+  RngStream a(31), b(31);
+  for (int i = 0; i < 100; ++i) {
+    const double z = a.normal(0.0, 1.0);
+    EXPECT_EQ(b.normal(-2.0, 0.25), z * 0.25 + -2.0);
+  }
+}
+
+TEST(Rng, NormalRejectsNegativeStddev) {
+  RngStream r(1);
+  EXPECT_THROW(r.normal(0.0, -1.0), std::invalid_argument);
 }
 
 TEST(Rng, LognormalMeanCvMatchesTargets) {
