@@ -60,8 +60,8 @@ class MarketTraceSet;  // sched/market_traces.hpp
 /// The engine seam: policy components take clock() (sim::Clock — scheduling
 /// only), run control goes through engine() (sim::Engine — run_until /
 /// set_tracer / dispatched). The default engine is a sim::Simulation on the
-/// timing wheel; pass one explicitly (e.g. a Simulation on the binary-heap
-/// oracle) to run the exact same wiring on it.
+/// binary heap; pass one explicitly (e.g. a Simulation on the timing wheel)
+/// to run the exact same wiring on it.
 class World {
  public:
   explicit World(Scenario scenario);

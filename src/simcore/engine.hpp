@@ -8,7 +8,7 @@
 // on the wall clock by live::WallClock, which is not an Engine.
 //
 // The experiment layer (sched::World, metrics) programs against Engine so a
-// caller can inject an engine (a Simulation on the heap oracle, or a
+// caller can inject an engine (a Simulation on the timing wheel, or a
 // decorating engine that profiles dispatch); only code that needs
 // Simulation-only members (step(), next_time()) names the concrete type.
 #pragma once
@@ -49,7 +49,7 @@ class Engine : public Clock {
 };
 
 /// Constructs the default simulation engine behind the Engine interface: a
-/// sim::Simulation on the timing wheel. Lets
+/// sim::Simulation on the binary heap. Lets
 /// engine-agnostic code (sched::World) build the default engine without
 /// including simulation.hpp — the layering lint forbids that below the
 /// experiment layer.

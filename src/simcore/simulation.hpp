@@ -7,10 +7,11 @@
 // parallelise across runs (seeds) instead. What changed with fleet scale is
 // the event rate a single run must sustain: a 30-day single-service run is
 // ~10^4 events, but one simulation carrying a 100k-1M-service fleet pushes
-// 10^8-10^9 periodic hour-tick/poll events through this loop, which is why
-// the queue behind it is a hierarchical timing wheel (O(1) per event; see
-// simcore/timing_wheel.hpp) with the binary heap retained as a
-// differential-testing oracle behind the EventQueue seam.
+// 10^8-10^9 periodic hour-tick/poll events through this loop. The queue
+// behind it is a binary heap: on the measured workloads it is level with the
+// O(1) timing wheel on the fleets and faster on the paper sweep, whose
+// queue holds ~20 events (see simcore/event_queue.hpp). The wheel stays
+// behind the EventQueue seam only for callers that name it.
 //
 // This is the only event loop in the library. Serving on wall time does not
 // swap it out: live::WallClock paces a Simulation by calling run_until() with
@@ -38,9 +39,9 @@ namespace spothost::sim {
 
 class Simulation final : public Engine {
  public:
-  /// Backed by `backend`: the timing wheel unless a caller injects the
-  /// binary-heap oracle.
-  explicit Simulation(QueueBackend backend = QueueBackend::kTimingWheel)
+  /// Backed by `backend`: the binary heap unless a caller names the timing
+  /// wheel.
+  explicit Simulation(QueueBackend backend = QueueBackend::kBinaryHeap)
       : queue_(make_event_queue(backend)) {}
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;

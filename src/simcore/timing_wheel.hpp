@@ -1,4 +1,7 @@
-// Hierarchical timing wheel: the default EventQueue backend.
+// Hierarchical timing wheel: an EventQueue backend reached only through an
+// explicit Simulation(QueueBackend::kTimingWheel). The binary heap is the
+// default (simcore/event_queue.hpp); the wheel stays while the benchmark
+// harness pins it, and goes with that pin.
 //
 // Layout: 6 levels x 64 slots. Level 0 slots are exactly one millisecond
 // wide; each level above covers 64x the span of the one below, so the wheel
@@ -30,10 +33,10 @@
 //
 // Costs: schedule, cancel, and pop are O(1) amortised (occupancy bitmaps
 // make the next-slot scan two bit instructions per level; each event
-// cascades at most kLevels-1 times over its lifetime). This is what lets
-// one simulation carry 100k-1M services' periodic hour-tick and poll events
-// (see bench/bench_fleet_scale.cpp), where a heap pays O(log n) per
-// operation on a million-entry queue.
+// cascades at most kLevels-1 times over its lifetime). Those constants did
+// not buy an end-to-end win: on a 100k-service fleet month the heap's
+// O(log n) is level with it, and on a small queue (the paper sweep's ~20
+// price steps) the cascades cost more than the heap's sift.
 //
 // Requirement (stronger than the base contract, guaranteed by Simulation):
 // scheduling is monotone — `when` must be >= the time of the latest pop.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 
 namespace spothost::trace {
@@ -111,36 +110,41 @@ PriceTrace SyntheticSpotModel::generate(const MarketProfile& profile,
   }
 
   // 3. Merge into a step function: evaluate at every base change, spike ramp
-  // step, and spike end; price = max(base, active spike levels).
-  std::map<sim::SimTime, char> breakpoints;  // value unused; map = sorted set
-  for (const auto& b : base) breakpoints[b.time];
+  // step, and spike end; price = max(base, active spike levels). One sweep
+  // over the sorted breakpoints: the base index only moves forward, and a
+  // spike is in `active` from its start until a breakpoint reaches its end.
+  std::vector<sim::SimTime> breakpoints;
+  breakpoints.reserve(base.size() + 2 * spikes.size());
+  for (const auto& b : base) breakpoints.push_back(b.time);
   for (const auto& s : spikes) {
     for (int r = 0; r < s.ramp_steps; ++r) {
       const sim::SimTime rt = s.start + static_cast<sim::SimTime>(r) * s.ramp_spacing;
-      if (rt < horizon) breakpoints[rt];
+      if (rt < horizon) breakpoints.push_back(rt);
     }
-    if (s.end < horizon) breakpoints[s.end];
+    if (s.end < horizon) breakpoints.push_back(s.end);
   }
-
-  auto base_at = [&](sim::SimTime when) {
-    auto it = std::upper_bound(
-        base.begin(), base.end(), when,
-        [](sim::SimTime lhs, const PricePoint& p) { return lhs < p.time; });
-    return std::prev(it)->price;
-  };
+  std::sort(breakpoints.begin(), breakpoints.end());
+  breakpoints.erase(std::unique(breakpoints.begin(), breakpoints.end()),
+                    breakpoints.end());
+  std::sort(spikes.begin(), spikes.end(),
+            [](const SpikeEvent& a, const SpikeEvent& b) { return a.start < b.start; });
 
   PriceTrace out;
-  for (const auto& [when, unused] : breakpoints) {
-    (void)unused;
-    double price = base_at(when);
-    for (const auto& s : spikes) {
-      price = std::max(price, spike_level_at(s, when, price));
+  std::size_t base_idx = 0;
+  std::size_t next_spike = 0;
+  std::vector<const SpikeEvent*> active;
+  for (const sim::SimTime when : breakpoints) {
+    while (base_idx + 1 < base.size() && base[base_idx + 1].time <= when) ++base_idx;
+    while (next_spike < spikes.size() && spikes[next_spike].start <= when) {
+      active.push_back(&spikes[next_spike++]);
     }
-    if (out.empty()) {
-      out.append(when, price);
-    } else if (when > out.points().back().time) {
-      out.append(when, price);
+    std::erase_if(active, [when](const SpikeEvent* s) { return s->end <= when; });
+    // max() is order-free, so the active order need not match `spikes`.
+    double price = base[base_idx].price;
+    for (const SpikeEvent* s : active) {
+      price = std::max(price, spike_level_at(*s, when, price));
     }
+    out.append(when, price);
   }
   out.set_end(horizon);
   return out;

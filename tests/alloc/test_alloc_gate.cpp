@@ -90,17 +90,12 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// One trace-fed market stepping every 5 minutes between two prices, with
 /// running spot instances that bid above both (no step moves one), and a
-/// watcher whose listeners hold every kind of interest.
-///
-/// The engine runs the binary-heap queue: its storage is one vector, warm
-/// after the first few events. The timing wheel files events into 384
-/// per-slot buckets that each grow on first use, so it keeps allocating
-/// until its whole span has turned over — queue warm-up, which this gate
-/// does not measure.
+/// watcher whose listeners hold every kind of interest. The engine is the
+/// default one, so the gate covers what every caller that names no queue
+/// runs on.
 class HotPath : public ::testing::Test {
  protected:
-  HotPath()
-      : sim_(sim::QueueBackend::kBinaryHeap), rng_(20150615), provider_(sim_, rng_) {
+  HotPath() : rng_(20150615), provider_(sim_, rng_) {
     trace::PriceTrace t;
     for (int i = 0; i <= kSteps; ++i) t.append(i * kStep, i % 2 == 0 ? 0.02 : 0.03);
     t.set_end((kSteps + 1) * kStep);

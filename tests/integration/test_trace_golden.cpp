@@ -107,8 +107,8 @@ TEST(TraceGolden, ProactiveMultiMarketRunIsByteIdentical) {
 }
 
 TEST(TraceGolden, HoldsOnBothQueueBackends) {
-  // The queue backend is an execution choice: the wheel and the heap oracle
-  // must reproduce the same bytes.
+  // The queue backend is an execution choice: the default heap and the
+  // named wheel must reproduce the same bytes.
   for (const auto backend :
        {sim::QueueBackend::kTimingWheel, sim::QueueBackend::kBinaryHeap}) {
     expect_golden(run_golden_on(backend), sim::to_string(backend));

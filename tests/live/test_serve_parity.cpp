@@ -57,7 +57,9 @@ struct Replay {
 };
 
 /// The spothost_serve --mode replay wiring: push-fed markets, prices pushed
-/// by a FeedDriver, the simulation run straight to the horizon.
+/// by a FeedDriver, the simulation run straight to the horizon. It runs on
+/// the timing wheel unless told otherwise, so the parity checks also cross
+/// queues: sim_trace runs on the default heap.
 Replay live_replay(const sched::Scenario& scenario,
                    const sched::SchedulerConfig& config,
                    const sched::MarketTraceSet& traces,
@@ -118,9 +120,9 @@ TEST(ServeParity, ParityHoldsAcrossSeedsAndPolicies) {
 }
 
 TEST(ServeParity, ParityHoldsOnHeapBackend) {
-  // The push-fed side on an injected heap-oracle Simulation still matches
-  // the trace-fed run: the (time, schedule-seq) contract holds on either
-  // queue.
+  // The push-fed side on the heap still matches the trace-fed run; the
+  // tests above run the push-fed side on the named timing wheel. The
+  // (time, schedule-seq) contract holds on either queue.
   const auto scenario = sched::normalized_scenario(parity_scenario(11));
   auto cfg = sched::proactive_config({"us-east-1a", InstanceSize::kSmall});
   const auto traces = sched::MarketTraceSet::generate(scenario);

@@ -287,12 +287,12 @@ TEST(BinaryHeapQueue, SchedulingStaysLiveAfterCompaction) {
   EXPECT_EQ(front.time, 0);
 }
 
-TEST(EventQueueFactory, DefaultBackendIsWheel) {
+TEST(EventQueueFactory, DefaultBackendIsHeap) {
   // No process-wide switch: a default-constructed Simulation is always on
-  // the wheel; the heap oracle has to be injected.
-  EXPECT_EQ(Simulation{}.backend(), QueueBackend::kTimingWheel);
-  EXPECT_EQ(Simulation{QueueBackend::kBinaryHeap}.backend(),
-            QueueBackend::kBinaryHeap);
+  // the heap; the timing wheel has to be named.
+  EXPECT_EQ(Simulation{}.backend(), QueueBackend::kBinaryHeap);
+  EXPECT_EQ(Simulation{QueueBackend::kTimingWheel}.backend(),
+            QueueBackend::kTimingWheel);
 }
 
 TEST(EventQueueFactory, MakesRequestedBackend) {

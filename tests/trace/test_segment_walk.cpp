@@ -133,7 +133,14 @@ TraceFeatures ref_extract_features(const PriceTrace& price_trace,
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 std::string window_label(SimTime from, SimTime to) {
-  return "[" + std::to_string(from) + ", " + std::to_string(to) + ")";
+  // Built with += rather than "[" + std::to_string(...): GCC 12's -Wrestrict
+  // misfires on the operator+ chain in a Release -Werror build.
+  std::string label = "[";
+  label += std::to_string(from);
+  label += ", ";
+  label += std::to_string(to);
+  label += ")";
+  return label;
 }
 
 void expect_same_bits(const PriceTrace& trace, SimTime from, SimTime to,
