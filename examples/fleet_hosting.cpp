@@ -1,6 +1,5 @@
 // Fleet hosting walkthrough: an operator runs six always-on services on the
 // spot market. Shows the extension APIs working together:
-//   * BidAdvisor — pick the bid multiple from the market's history + SLO;
 //   * FleetScheduler — run the fleet, spread across availability zones;
 //   * ServiceGroup — pack four small tenants onto one shared server;
 //   * OutageStats — MTTR / MTBF / percentiles for the month.
@@ -16,25 +15,14 @@ int main() {
   scenario.horizon = 30 * sim::kDay;
   scenario.regions = {"us-east-1a", "us-east-1b"};
 
-  // ---- 1. ask the bid advisor ------------------------------------------
-  sched::World advisor_world(scenario);
   const cloud::MarketId home{"us-east-1a", cloud::InstanceSize::kSmall};
-  const auto rec = sched::recommend_bid(
-      advisor_world.provider().market(home).price_trace(),
-      advisor_world.provider().od_price(home), /*max_unavailability_pct=*/0.01);
-  std::cout << "bid advisor: use " << metrics::fmt(rec.multiple, 1)
-            << "x on-demand (estimated cost "
-            << metrics::fmt(rec.estimate.normalized_cost_pct, 1)
-            << "%, unavailability "
-            << metrics::fmt(rec.estimate.unavailability_pct, 4) << "%, SLO "
-            << (rec.slo_met ? "met" : "NOT met") << ")\n\n";
 
-  // ---- 2. run the fleet, spread across zones ------------------------------
+  // ---- 1. run the fleet, spread across zones ------------------------------
   sched::World world(scenario);
   sched::FleetConfig fleet_cfg;
   fleet_cfg.num_services = 6;
   fleet_cfg.service_template = sched::proactive_config(home);
-  fleet_cfg.service_template.bid.proactive_multiple = rec.multiple;
+  fleet_cfg.service_template.bid.proactive_multiple = 1.25;
   fleet_cfg.home_markets = {
       {"us-east-1a", cloud::InstanceSize::kSmall},
       {"us-east-1b", cloud::InstanceSize::kSmall},
@@ -64,7 +52,7 @@ int main() {
             << metrics::fmt(s0.p95_s, 0) << " s, MTBF "
             << metrics::fmt(s0.mtbf_hours, 0) << " h\n\n";
 
-  // ---- 3. pack four tenants onto one shared server -----------------------
+  // ---- 2. pack four tenants onto one shared server -----------------------
   sched::World packed_world(scenario);
   workload::ServiceGroup tenants("tenant", 4,
                                  virt::default_spec_for_memory(1.7, 8.0));

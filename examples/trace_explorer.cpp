@@ -14,7 +14,6 @@
 //                                               # --out run.jsonl); optional
 //                                               # second arg = max seconds
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -22,6 +21,7 @@
 #include <string>
 #include <thread>
 
+#include "cli_number.hpp"
 #include "spothost.hpp"
 
 using namespace spothost;
@@ -164,18 +164,27 @@ int run_follow(const std::string& path, double max_seconds) {
 
 int main(int argc, char** argv) {
   if (argc > 2 && std::string(argv[1]) == "--follow") {
-    const double max_seconds = argc > 3 ? std::atof(argv[3]) : 0.0;
+    double max_seconds = 0.0;
+    if (argc > 3) {
+      const auto parsed = parse_number<double>(argv[3]);
+      if (!parsed || *parsed < 0) {
+        std::cerr << "max seconds must be a non-negative number: " << argv[3]
+                  << "\n";
+        return 1;
+      }
+      max_seconds = *parsed;
+    }
     return run_follow(argv[2], max_seconds);
   }
   if (argc > 1 && std::string(argv[1]) == "--timeline") {
     std::uint64_t seed = 42;
     if (argc > 2) {
-      char* end = nullptr;
-      seed = std::strtoull(argv[2], &end, 10);
-      if (end == argv[2] || *end != '\0') {
+      const auto parsed = parse_number<std::uint64_t>(argv[2]);
+      if (!parsed) {
         std::cerr << "seed must be an unsigned integer: " << argv[2] << "\n";
         return 1;
       }
+      seed = *parsed;
     }
     std::optional<obs::EventKind> only;
     if (argc > 3) {

@@ -10,7 +10,9 @@
 #      feed-to-market delivery latency under a bound.
 #   3. Repeated prices: a feed that repeats a price emits the same
 #      price_change events tailed as simulated — a repeat is not a step.
-#   4. Strict numbers: a malformed --seed or --speed exits 2 with usage.
+#   4. Strict numbers: a malformed --seed or --speed exits 2 with usage, and
+#      trace_explorer rejects a malformed --timeline seed or --follow
+#      duration with a message and exit 1.
 #
 # Usage: scripts/serve_smoke.sh [build_dir]   (default: build)
 set -euo pipefail
@@ -18,11 +20,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 SERVE="$BUILD_DIR/examples/spothost_serve"
+EXPLORER="$BUILD_DIR/examples/trace_explorer"
 FEED=testdata/serve_feed_1h.csv
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
-[ -x "$SERVE" ] || { echo "missing binary: $SERVE (build first)"; exit 1; }
+for bin in "$SERVE" "$EXPLORER"; do
+  [ -x "$bin" ] || { echo "missing binary: $bin (build first)"; exit 1; }
+done
 
 echo "== parity: trace-fed sim vs feed-driven replay over $FEED =="
 "$SERVE" --feed "$FEED" --mode sim --out "$TMP/sim.jsonl" 2>"$TMP/sim.log"
@@ -113,3 +118,17 @@ for bad in "--seed abc" "--seed -1" "--speed 2x"; do
   fi
 done
 echo "OK: malformed --seed/--speed rejected with usage"
+for bad in "--timeline -1" "--timeline 7x" "--follow $FEED 2x"; do
+  # shellcheck disable=SC2086  # split "--flag value" into words
+  if "$EXPLORER" $bad >"$TMP/bad.out" 2>"$TMP/bad.log"; then
+    status=0
+  else
+    status=$?
+  fi
+  if [ "$status" -ne 1 ] || ! grep -q 'must be' "$TMP/bad.log"; then
+    echo "FAIL: trace_explorer '$bad' exited $status, expected 1 with a message"
+    cat "$TMP/bad.log"
+    exit 1
+  fi
+done
+echo "OK: malformed trace_explorer --timeline/--follow numbers rejected"

@@ -41,7 +41,6 @@
 #include "obs/sink.hpp"
 #include "sched/analysis.hpp"
 #include "sched/baselines.hpp"
-#include "sched/bid_advisor.hpp"
 #include "sched/bidding.hpp"
 #include "sched/config.hpp"
 #include "sched/fleet.hpp"
@@ -58,7 +57,6 @@
 #include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
 #include "simcore/time.hpp"
-#include "trace/auction_market.hpp"
 #include "trace/csv.hpp"
 #include "trace/features.hpp"
 #include "trace/price_trace.hpp"
@@ -66,7 +64,6 @@
 #include "trace/stats.hpp"
 #include "trace/synthetic.hpp"
 #include "virt/checkpoint.hpp"
-#include "virt/checkpoint_process.hpp"
 #include "virt/live_migration.hpp"
 #include "virt/mechanisms.hpp"
 #include "virt/memory_model.hpp"

@@ -1,20 +1,11 @@
 #include "trace/features.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "trace/stats.hpp"
 
 namespace spothost::trace {
-namespace {
-
-double relative_error(double a, double b) {
-  const double denom = std::max({std::abs(a), std::abs(b), 1e-12});
-  return std::abs(a - b) / denom;
-}
-
-}  // namespace
 
 TraceFeatures extract_features(const PriceTrace& price_trace,
                                double reference_price) {
@@ -92,24 +83,6 @@ TraceFeatures extract_features(const PriceTrace& price_trace,
     f.hourly_autocorrelation = pearson(head, tail);
   }
   return f;
-}
-
-double feature_distance(const TraceFeatures& a, const TraceFeatures& b) {
-  double sum = 0.0;
-  int dims = 0;
-  auto add = [&](double x, double y) {
-    sum += relative_error(x, y);
-    ++dims;
-  };
-  add(a.mean_price, b.mean_price);
-  add(a.stddev, b.stddev);
-  add(a.changes_per_day, b.changes_per_day);
-  add(a.fraction_below_reference, b.fraction_below_reference);
-  add(static_cast<double>(a.excursions_above_reference),
-      static_cast<double>(b.excursions_above_reference));
-  add(a.mean_excursion_minutes, b.mean_excursion_minutes);
-  add(a.max_over_reference, b.max_over_reference);
-  return sum / dims;
 }
 
 }  // namespace spothost::trace

@@ -1,7 +1,6 @@
 // Trace feature extraction: the statistical fingerprint of a spot-price
-// series. Used to calibrate the synthetic models against real EC2 exports
-// and to compare the regime-switching and auction generators against each
-// other (and against the paper's qualitative descriptions).
+// series. Used to calibrate the synthetic model against real EC2 exports
+// (and against the paper's qualitative descriptions).
 #pragma once
 
 #include <vector>
@@ -37,10 +36,5 @@ TraceFeatures extract_features(const PriceTrace& price_trace,
 TraceFeatures extract_features(const PriceTrace& price_trace,
                                double reference_price, sim::SimTime from,
                                sim::SimTime to);
-
-/// Scalar dissimilarity between two fingerprints: mean relative error over
-/// the comparable feature dimensions (0 = identical fingerprints). Useful
-/// as a calibration objective.
-double feature_distance(const TraceFeatures& a, const TraceFeatures& b);
 
 }  // namespace spothost::trace

@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "simcore/rng.hpp"
-#include "trace/profiles.hpp"
-#include "trace/synthetic.hpp"
-
 namespace spothost::trace {
 namespace {
 
@@ -62,33 +58,6 @@ TEST(Features, PersistentSeriesHasPositiveAutocorrelation) {
   t.set_end(2 * kDay);
   const auto f = extract_features(t, 0.06);
   EXPECT_GT(f.hourly_autocorrelation, 0.5);
-}
-
-TEST(Features, DistanceIsZeroForIdenticalFingerprints) {
-  const auto f = extract_features(step_trace(), 0.06);
-  EXPECT_DOUBLE_EQ(feature_distance(f, f), 0.0);
-}
-
-TEST(Features, DistanceSeparatesCalmFromSpiky) {
-  sim::RngFactory factory(9);
-  const double pon = 0.06;
-  auto r1 = factory.stream("calm");
-  MarketProfile calm = profile_for("eu-west-1a", "small");
-  const auto calm_trace =
-      SyntheticSpotModel::generate(calm, pon, 14 * kDay, r1);
-  auto r2 = factory.stream("spiky");
-  MarketProfile spiky = profile_for("us-east-1a", "small");
-  const auto spiky_trace =
-      SyntheticSpotModel::generate(spiky, pon, 14 * kDay, r2);
-  auto r3 = factory.stream("spiky2");
-  const auto spiky_trace2 =
-      SyntheticSpotModel::generate(spiky, pon, 14 * kDay, r3);
-
-  const auto fc = extract_features(calm_trace, pon);
-  const auto fs = extract_features(spiky_trace, pon);
-  const auto fs2 = extract_features(spiky_trace2, pon);
-  // Same-profile fingerprints are closer than cross-profile ones.
-  EXPECT_LT(feature_distance(fs, fs2), feature_distance(fs, fc));
 }
 
 TEST(Features, RejectsBadInput) {

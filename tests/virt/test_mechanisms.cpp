@@ -51,11 +51,16 @@ TEST(Mechanisms, ForcedNeverUsesLiveMigration) {
 }
 
 TEST(Mechanisms, ForcedFlushWithinGraceBudget) {
-  for (const auto combo : kAllCombos) {
-    const auto t = planner(combo).plan(MigrationClass::kForced, small_spec(),
-                                       "us-east-1a", "us-east-1a");
-    EXPECT_LE(t.flush_s, typical_mechanism_params().checkpoint.bound_tau_s + 1e-9);
-    EXPECT_GT(t.restore_s, 0.0);
+  // Tight to loose bounds around the typical 10 s; 30 s is the pessimistic.
+  for (const double tau : {2.0, 5.0, 10.0, 30.0}) {
+    auto params = typical_mechanism_params();
+    params.checkpoint.bound_tau_s = tau;
+    for (const auto combo : kAllCombos) {
+      const auto t = planner(combo, params).plan(
+          MigrationClass::kForced, small_spec(), "us-east-1a", "us-east-1a");
+      EXPECT_LE(t.flush_s, tau + 1e-9) << "tau=" << tau;
+      EXPECT_GT(t.restore_s, 0.0) << "tau=" << tau;
+    }
   }
 }
 
