@@ -70,7 +70,8 @@ int main() {
 
   double packed_cost = 0.0;
   for (const auto& r : packed_world.provider().ledger().records()) {
-    const int capacity = cloud::type_info(r.market.size).capacity_units;
+    const auto size = packed_world.provider().market(r.market).id().size;
+    const int capacity = cloud::type_info(size).capacity_units;
     packed_cost += r.cost * std::min(1.0, 4.0 / capacity);
   }
   std::cout << "packed group of " << tenants.size() << " tenants: $"

@@ -6,14 +6,19 @@
 //
 //   $ ./trace_explorer                          # generate + stats + CSV demo
 //   $ ./trace_explorer path/to/trace.csv        # inspect an existing CSV
-//   $ ./trace_explorer --timeline               # hosting run event timeline
+//   $ ./trace_explorer --timeline               # hosting run event timeline;
+//                                               # the JSONL stream goes to
+//                                               # <tmp>/spothost_trace.<pid>.jsonl
 //   $ ./trace_explorer --timeline 7 migration_begin
 //                                               # seed 7, one event kind only
 //   $ ./trace_explorer --follow run.jsonl       # tail -f a growing event
 //                                               # stream (e.g. spothost_serve
 //                                               # --out run.jsonl); optional
 //                                               # second arg = max seconds
+#include <unistd.h>
+
 #include <chrono>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -27,6 +32,22 @@
 using namespace spothost;
 
 namespace {
+
+/// `<temp dir>/<stem>.<pid><ext>`: concurrent runs never share a file.
+std::string per_process_temp_path(const std::string& stem, const std::string& ext) {
+  return (std::filesystem::temp_directory_path() /
+          (stem + "." + std::to_string(::getpid()) + ext))
+      .string();
+}
+
+/// Removes a temporary file when the scope ends, on every path out of it.
+struct RemoveOnExit {
+  std::string path;
+  ~RemoveOnExit() {
+    std::error_code ignored;
+    std::filesystem::remove(path, ignored);
+  }
+};
 
 void describe(const trace::PriceTrace& t, double pon) {
   const auto from = t.start();
@@ -58,7 +79,7 @@ int run_timeline(std::uint64_t seed, std::optional<obs::EventKind> only) {
 
   obs::Tracer tracer;
   obs::RingBufferSink ring(1 << 16);
-  const std::string jsonl_path = "/tmp/spothost_trace.jsonl";
+  const std::string jsonl_path = per_process_temp_path("spothost_trace", ".jsonl");
   obs::JsonlSink jsonl(jsonl_path);
   tracer.add_sink(&ring);
   tracer.add_sink(&jsonl);
@@ -219,12 +240,13 @@ int main(int argc, char** argv) {
   auto rng = factory.stream("csv-demo");
   const auto t = trace::SyntheticSpotModel::generate(
       trace::profile_for("us-east-1a", "large"), 0.24, 7 * sim::kDay, rng);
-  const std::string path = "/tmp/spothost_demo_trace.csv";
-  trace::save_csv_file(t, path);
-  const auto loaded = trace::load_csv_file(path);
+  const RemoveOnExit csv{per_process_temp_path("spothost_demo_trace", ".csv")};
+  trace::save_csv_file(t, csv.path);
+  const auto loaded = trace::load_csv_file(csv.path);
   std::cout << "== CSV round trip ==\n  wrote " << t.size() << " points to "
-            << path << ", read back " << loaded.size() << " — "
-            << (loaded.size() == t.size() ? "identical" : "MISMATCH") << "\n";
+            << csv.path << ", read back " << loaded.size() << " — "
+            << (loaded.size() == t.size() ? "identical" : "MISMATCH")
+            << " (file removed)\n";
   std::cout << "  (feed real EC2 DescribeSpotPriceHistory exports through this "
                "format to drive the simulator with measured data)\n";
   return 0;

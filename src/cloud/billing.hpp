@@ -37,7 +37,7 @@ inline constexpr std::uint64_t kNoOwner = ~std::uint64_t{0};
 /// One finished (or finalized) instance lease, for auditing and metrics.
 struct BillingRecord {
   std::uint64_t instance_id = 0;
-  MarketId market;
+  MarketIndex market = 0;  ///< the provider's index; CloudProvider::market resolves it
   BillingMode mode = BillingMode::kOnDemand;
   sim::SimTime launch = 0;
   sim::SimTime end = 0;

@@ -427,7 +427,7 @@ void CloudProvider::complete_lease(Record& rec, TerminationCause cause,
   }
   BillingRecord record;
   record.instance_id = inst.id;
-  record.market = m.market->id();
+  record.market = inst.market;
   record.mode = inst.mode;
   record.launch = inst.launch;
   record.end = end;

@@ -18,7 +18,8 @@ RunMetrics compute_run_metrics(const cloud::CloudProvider& provider,
     m.total_cost += record.cost;
     // Packing assumption (Sec. 4, multi-market): a larger server hosts
     // capacity_units nested VMs; this service is attributed its share.
-    const int capacity = cloud::type_info(record.market.size).capacity_units;
+    const auto size = provider.market(record.market).id().size;
+    const int capacity = cloud::type_info(size).capacity_units;
     const double share =
         std::min(1.0, static_cast<double>(units_needed) / capacity);
     m.attributed_cost += record.cost * share;

@@ -3,6 +3,11 @@
 // event it emits through one of these, and stats() is *derived* from the
 // counters, so the end-of-run aggregates and the trace stream can never
 // disagree.
+//
+// Counts are 32-bit: every scheduler owns a sink, which is half of its
+// fixed size, and a count past 2^32 - 1 per (kind, code) would wrap. One
+// scheduler's month emits thousands of events, and a whole traced
+// 100k-service month stays under 10^8.
 #pragma once
 
 #include <array>
@@ -50,8 +55,8 @@ class CounterSink final : public TraceSink {
   }
 
  private:
-  std::array<std::uint64_t, kEventKindCount> totals_{};
-  std::array<std::array<std::uint64_t, kMaxCodes>, kEventKindCount> by_code_{};
+  std::array<std::uint32_t, kEventKindCount> totals_{};
+  std::array<std::array<std::uint32_t, kMaxCodes>, kEventKindCount> by_code_{};
 };
 
 }  // namespace spothost::obs

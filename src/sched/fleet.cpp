@@ -125,7 +125,8 @@ FleetMetrics FleetScheduler::metrics(sim::SimTime horizon) const {
 
   for (const auto& record : provider_.ledger().records()) {
     m.total_cost += record.cost;
-    const int capacity = cloud::type_info(record.market.size).capacity_units;
+    const auto size = provider_.market(record.market).id().size;
+    const int capacity = cloud::type_info(size).capacity_units;
     const std::size_t owner =
         record.owner != cloud::kNoOwner &&
                 record.owner < schedulers_.size()

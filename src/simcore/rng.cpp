@@ -22,20 +22,74 @@ std::uint64_t fnv1a(std::string_view s) noexcept {
   return h;
 }
 
+namespace {
+
+// std::mt19937_64's parameters ([rand.predef]).
+constexpr std::uint64_t kHalf = 156;  // m; n = 2m
+constexpr std::uint64_t kSeedMultiplier = 6364136223846793005ULL;
+constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+constexpr std::uint64_t kLowerMask = ~kUpperMask;
+constexpr std::uint64_t kTwistMatrix = 0xB5026F5AA96619E9ULL;
+
+/// The seeding step: x[j] from x[j-1].
+constexpr std::uint64_t seed_step(std::uint64_t prev, std::uint64_t j) noexcept {
+  return kSeedMultiplier * (prev ^ (prev >> 62)) + j;
+}
+
+constexpr std::uint64_t temper(std::uint64_t y) noexcept {
+  y ^= (y >> 29) & 0x5555555555555555ULL;
+  y ^= (y << 17) & 0x71D67FFFEDA60000ULL;
+  y ^= (y << 37) & 0xFFF7EEE000000000ULL;
+  return y ^ (y >> 43);
+}
+
+}  // namespace
+
+CompactMt19937_64::CompactMt19937_64(const CompactMt19937_64& other)
+    : seed_(other.seed_),
+      lo_(other.lo_),
+      hi_(other.hi_),
+      drawn_(other.drawn_),
+      full_(other.full_ ? std::make_unique<std::mt19937_64>(*other.full_) : nullptr) {}
+
+CompactMt19937_64& CompactMt19937_64::operator=(const CompactMt19937_64& other) {
+  if (this != &other) *this = CompactMt19937_64(other);
+  return *this;
+}
+
+CompactMt19937_64::result_type CompactMt19937_64::draw_compact() {
+  if (drawn_ == kHalf) {
+    full_ = std::make_unique<std::mt19937_64>(seed_);
+    full_->discard(kHalf);
+    return (*full_)();
+  }
+  if (drawn_ == 0) {
+    hi_ = seed_;
+    for (std::uint64_t j = 1; j <= kHalf; ++j) hi_ = seed_step(hi_, j);
+  }
+  const std::uint64_t i = drawn_++;
+  const std::uint64_t next = seed_step(lo_, i + 1);  // x[i + 1]
+  const std::uint64_t y = (lo_ & kUpperMask) | (next & kLowerMask);
+  const std::uint64_t x = hi_ ^ (y >> 1) ^ ((y & 1) != 0 ? kTwistMatrix : 0);
+  lo_ = next;
+  hi_ = seed_step(hi_, i + kHalf + 1);
+  return temper(x);
+}
+
 double RngStream::uniform(double lo, double hi) {
   std::uniform_real_distribution<double> d(lo, hi);
-  return d(engine_);
+  return engine_.visit(d);
 }
 
 std::int64_t RngStream::uniform_int(std::int64_t lo, std::int64_t hi) {
   std::uniform_int_distribution<std::int64_t> d(lo, hi);
-  return d(engine_);
+  return engine_.visit(d);
 }
 
 double RngStream::exponential(double mean) {
   if (mean <= 0) throw std::invalid_argument("exponential: mean must be > 0");
   std::exponential_distribution<double> d(1.0 / mean);
-  return d(engine_);
+  return engine_.visit(d);
 }
 
 double RngStream::normal(double mean, double stddev) {
@@ -43,7 +97,7 @@ double RngStream::normal(double mean, double stddev) {
   // Scale a unit draw by hand: std::normal_distribution requires stddev > 0.
   // The engine advances exactly as it would for a (mean, stddev) draw.
   std::normal_distribution<double> d(0.0, 1.0);
-  const double z = d(engine_);
+  const double z = engine_.visit(d);
   return z * stddev + mean;
 }
 
@@ -57,7 +111,7 @@ double RngStream::lognormal_mean_cv(double mean, double cv) {
   const double sigma2 = std::log1p(cv * cv);
   const double mu = std::log(mean) - 0.5 * sigma2;
   std::lognormal_distribution<double> d(mu, std::sqrt(sigma2));
-  return d(engine_);
+  return engine_.visit(d);
 }
 
 double RngStream::pareto(double x_m, double alpha) {
@@ -66,14 +120,14 @@ double RngStream::pareto(double x_m, double alpha) {
   }
   // Inverse-CDF sampling; guard u away from 0 to avoid infinity.
   std::uniform_real_distribution<double> d(0.0, 1.0);
-  double u = d(engine_);
+  double u = engine_.visit(d);
   if (u < 1e-12) u = 1e-12;
   return x_m / std::pow(u, 1.0 / alpha);
 }
 
 bool RngStream::chance(double p) {
   std::bernoulli_distribution d(p);
-  return d(engine_);
+  return engine_.visit(d);
 }
 
 RngStream RngFactory::stream(std::string_view name) const {

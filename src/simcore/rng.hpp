@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string_view>
 
@@ -17,6 +18,53 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept;
 
 /// FNV-1a 64-bit hash of a string (stream names).
 std::uint64_t fnv1a(std::string_view s) noexcept;
+
+/// std::mt19937_64, bit for bit, that holds 40 bytes for its first 156
+/// draws.
+///
+/// The standard seeding sets x[0] = seed and
+/// x[j] = 6364136223846793005 * (x[j-1] ^ (x[j-1] >> 62)) + j, and the first
+/// twist sets x'[i] = x[i+156] ^ twist(x[i], x[i+1]) for i < 156; output i
+/// is temper(x'[i]). So draws 0..155 need only the two running seeding
+/// words x[i] and x[i+156], each advanced one seeding step per draw. The
+/// 157th draw needs x'[0], so the engine then builds a full std::mt19937_64
+/// on the heap, discards 156 outputs and forwards every later draw to it.
+/// A scheduler draws a few dozen numbers in a month and never holds the
+/// 2.5 kB state; heavy streams (trace synthesis, faults) switch once.
+class CompactMt19937_64 {
+ public:
+  using result_type = std::uint64_t;
+
+  explicit CompactMt19937_64(result_type seed) noexcept : seed_(seed), lo_(seed) {}
+  CompactMt19937_64(const CompactMt19937_64& other);
+  CompactMt19937_64& operator=(const CompactMt19937_64& other);
+  CompactMt19937_64(CompactMt19937_64&&) noexcept = default;
+  CompactMt19937_64& operator=(CompactMt19937_64&&) noexcept = default;
+
+  static constexpr result_type min() noexcept { return std::mt19937_64::min(); }
+  static constexpr result_type max() noexcept { return std::mt19937_64::max(); }
+
+  result_type operator()() { return full_ ? (*full_)() : draw_compact(); }
+
+ private:
+  friend class RngStream;
+
+  /// `sample(engine)` on the engine that makes the next outputs: the heap
+  /// std::mt19937_64 once switched, so every draw of a sample skips the
+  /// check in operator(); else this engine, which may switch mid-sample.
+  template <typename Sample>
+  decltype(auto) visit(Sample&& sample) {
+    return full_ ? sample(*full_) : sample(*this);
+  }
+
+  result_type draw_compact();
+
+  std::uint64_t seed_;
+  std::uint64_t lo_;       ///< x[drawn_]
+  std::uint64_t hi_ = 0;   ///< x[drawn_ + 156]; computed on the first draw
+  std::uint64_t drawn_ = 0;
+  std::unique_ptr<std::mt19937_64> full_;  ///< set from the 157th draw on
+};
 
 /// A single random stream with the distributions the simulator needs.
 class RngStream {
@@ -48,10 +96,10 @@ class RngStream {
   bool chance(double p);
 
   /// Raw engine access (for std:: distributions in tests).
-  std::mt19937_64& engine() noexcept { return engine_; }
+  CompactMt19937_64& engine() noexcept { return engine_; }
 
  private:
-  std::mt19937_64 engine_;
+  CompactMt19937_64 engine_;
 };
 
 /// Derives independent named streams from one master seed.

@@ -1,11 +1,13 @@
-// Allocation gate: the untraced hot path allocates nothing once warm.
+// Allocation gate: the untraced hot path allocates nothing once warm, and a
+// service's fixed footprint stays under a committed ceiling.
 //
 // This binary replaces the global operator new with a counting one, so it
-// is kept apart from the other suites. Each test warms its scenario up
-// (buffers grow to their steady-state sizes), then runs more of the same
-// work between two reads of the counter and requires the difference to be
-// zero. Allocation counts do not depend on the machine, so the gate is as
-// stable in CI as a golden hash.
+// is kept apart from the other suites. Each hot-path test warms its
+// scenario up (buffers grow to their steady-state sizes), then runs more of
+// the same work between two reads of the counter and requires the
+// difference to be zero. The footprint test counts the bytes a fleet's
+// construction and start request. Allocation counts do not depend on the
+// machine, so the gate is as stable in CI as a golden hash.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,19 +19,26 @@
 #include <vector>
 
 #include "cloud/provider.hpp"
+#include "sched/baselines.hpp"
+#include "sched/config.hpp"
+#include "sched/fleet.hpp"
 #include "sched/market_watcher.hpp"
+#include "simcore/rng.hpp"
 #include "simcore/simulation.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 void* counted_alloc(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   return std::malloc(n == 0 ? 1 : n);
 }
 
 void* counted_aligned_alloc(std::size_t n, std::align_val_t al) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(n, std::memory_order_relaxed);
   const auto a = static_cast<std::size_t>(al);
   return std::aligned_alloc(a, (n + a - 1) / a * a);
 }
@@ -169,6 +178,44 @@ TEST_F(HotPath, SetInterestRefileAllocatesNothing) {
 
   EXPECT_EQ(watcher_.interest(ids_[3]), Interest::above(m, 1.0));
   EXPECT_EQ(allocated, 0u) << "over 500 refiles";
+}
+
+// --- per-service footprint -------------------------------------------------
+// Every service owns a scheduler with its own timing stream, so the stream
+// and the scheduler's counters are multiplied by the fleet size: at 100k
+// services, 1 kB per service is 100 MB.
+
+static_assert(sizeof(sim::RngStream) <= 64,
+              "a timing stream is per service; keep the engine compact");
+
+TEST(Footprint, FleetMonthServiceBytesStayUnderCeiling) {
+  // The fleet_month shape: proactive services, homes round-robin over the
+  // small markets of three regions, one month.
+  constexpr int kServices = 1000;
+  // Committed ceiling. A fleet at this size allocated 2,690 bytes a
+  // service when it was set (1,328 of them the scheduler); a full
+  // std::mt19937_64 per stream would add 2,464.
+  constexpr std::uint64_t kMaxBytesPerService = 3000;
+
+  sched::Scenario scenario;
+  scenario.seed = 20150615;
+  scenario.regions = {"us-east-1a", "us-east-1b", "us-west-1a"};
+  sched::World world(scenario);
+  sched::FleetConfig config;
+  config.num_services = kServices;
+  config.service_template = sched::proactive_config(kMarket);
+  config.home_markets = {{"us-east-1a", InstanceSize::kSmall},
+                         {"us-east-1b", InstanceSize::kSmall},
+                         {"us-west-1a", InstanceSize::kSmall}};
+
+  const std::uint64_t before = g_bytes.load(std::memory_order_relaxed);
+  sched::FleetScheduler fleet(world.clock(), world.provider(), config, world.rng());
+  fleet.start();
+  const std::uint64_t per_service =
+      (g_bytes.load(std::memory_order_relaxed) - before) / kServices;
+
+  ASSERT_EQ(fleet.size(), kServices);
+  EXPECT_LE(per_service, kMaxBytesPerService) << "heap bytes per service";
 }
 
 }  // namespace

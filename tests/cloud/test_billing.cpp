@@ -84,10 +84,10 @@ TEST(Billing, SpotZeroDuration) {
 
 TEST(Billing, LedgerAccumulates) {
   BillingLedger ledger;
-  ledger.add(BillingRecord{1, {"us-east-1a", InstanceSize::kSmall},
+  ledger.add(BillingRecord{1, /*market=*/0,
                            BillingMode::kSpot, 0, kHour,
                            TerminationCause::kCustomer, 0.02});
-  ledger.add(BillingRecord{2, {"us-east-1a", InstanceSize::kSmall},
+  ledger.add(BillingRecord{2, /*market=*/0,
                            BillingMode::kOnDemand, kHour, 3 * kHour,
                            TerminationCause::kCustomer, 0.12});
   EXPECT_DOUBLE_EQ(ledger.total_cost(), 0.14);

@@ -162,7 +162,8 @@ TEST_F(FleetTest, MixedSizeFleetAttributesEachLeaseToItsOwner) {
     // Every lease a fleet scheduler requests carries its service index.
     ASSERT_NE(record.owner, cloud::kNoOwner);
     ASSERT_LT(record.owner, 4u);
-    const int capacity = cloud::type_info(record.market.size).capacity_units;
+    const auto size = world.provider().market(record.market).id().size;
+    const int capacity = cloud::type_info(size).capacity_units;
     const int units =
         fleet.scheduler(static_cast<int>(record.owner)).units_needed();
     if (units != units0) mixed = true;

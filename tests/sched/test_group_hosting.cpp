@@ -77,7 +77,8 @@ TEST(GroupHosting, PackingBeatsDedicatedSmallBoxesOnCost) {
     world.provider().finalize(world.horizon());
     scheduler.finalize(world.horizon());
     for (const auto& rec : world.provider().ledger().records()) {
-      const int capacity = cloud::type_info(rec.market.size).capacity_units;
+      const auto size = world.provider().market(rec.market).id().size;
+      const int capacity = cloud::type_info(size).capacity_units;
       packed_cost += rec.cost * std::min(1.0, 4.0 / capacity);
     }
   }

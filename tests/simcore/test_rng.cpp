@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace spothost::sim {
@@ -190,6 +193,149 @@ TEST(Hashing, SplitMixAdvancesState) {
   const auto v1 = splitmix64(s);
   const auto v2 = splitmix64(s);
   EXPECT_NE(v1, v2);
+}
+
+
+// --- CompactMt19937_64 against std::mt19937_64 ------------------------------
+// The compact engine keeps two seeding words for draws 0..155 and switches
+// to a heap std::mt19937_64 at draw 156; every output, on both sides of the
+// switch and in copies taken on either side, must equal the standard
+// engine's.
+
+constexpr std::uint64_t kSeeds[] = {0,
+                                    1,
+                                    5489,  // std::mt19937_64::default_seed
+                                    20150615,
+                                    std::uint64_t{1} << 32,
+                                    0x9E3779B97F4A7C15ULL,
+                                    std::uint64_t{1} << 63,
+                                    ~std::uint64_t{0}};
+constexpr int kDraws = 1000;  // crosses draws 156 and 312
+
+TEST(CompactMt, MatchesStdEngineForEverySeed) {
+  static_assert(std::uniform_random_bit_generator<CompactMt19937_64>);
+  static_assert(CompactMt19937_64::min() == std::mt19937_64::min());
+  static_assert(CompactMt19937_64::max() == std::mt19937_64::max());
+  for (const std::uint64_t seed : kSeeds) {
+    CompactMt19937_64 compact(seed);
+    std::mt19937_64 reference(seed);
+    for (int i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(compact(), reference()) << "seed " << seed << ", draw " << i;
+    }
+  }
+}
+
+TEST(CompactMt, CopiesOnBothSidesOfTheSwitchContinueAlike) {
+  for (const std::uint64_t seed : kSeeds) {
+    for (const int at : {0, 1, 100, 155, 156, 157, 312, 500}) {
+      CompactMt19937_64 original(seed);
+      std::mt19937_64 reference(seed);
+      for (int i = 0; i < at; ++i) ASSERT_EQ(original(), reference());
+      CompactMt19937_64 copy(original);
+      CompactMt19937_64 assigned(~seed);
+      (void)assigned();
+      assigned = original;
+      std::mt19937_64 expected = reference;
+      for (int i = at; i < kDraws; ++i) {
+        const auto want = reference();
+        ASSERT_EQ(original(), want) << "seed " << seed << ", copied at " << at;
+        ASSERT_EQ(copy(), want) << "seed " << seed << ", copied at " << at;
+        ASSERT_EQ(assigned(), want) << "seed " << seed << ", assigned at " << at;
+      }
+      // Drawing from the original and its copies in turn showed the copies
+      // are deep; a moved-to engine continues where the source stopped.
+      CompactMt19937_64 late(seed);
+      for (int i = 0; i < at; ++i) (void)late();
+      CompactMt19937_64 moved(std::move(late));
+      for (int i = at; i < kDraws; ++i) ASSERT_EQ(moved(), expected());
+    }
+  }
+}
+
+/// RngStream's distributions as written over std::mt19937_64 before the
+/// compact engine: the simple path the stream must still match bit for bit.
+class ReferenceStream {
+ public:
+  explicit ReferenceStream(std::uint64_t seed) : engine_(seed) {}
+
+  double uniform(double lo, double hi) {
+    return std::uniform_real_distribution<double>(lo, hi)(engine_);
+  }
+  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
+    return std::uniform_int_distribution<std::int64_t>(lo, hi)(engine_);
+  }
+  double exponential(double mean) {
+    return std::exponential_distribution<double>(1.0 / mean)(engine_);
+  }
+  double normal(double mean, double stddev) {
+    return std::normal_distribution<double>(0.0, 1.0)(engine_) * stddev + mean;
+  }
+  double lognormal_mean_cv(double mean, double cv) {
+    if (cv == 0) return mean;
+    const double sigma2 = std::log1p(cv * cv);
+    const double mu = std::log(mean) - 0.5 * sigma2;
+    return std::lognormal_distribution<double>(mu, std::sqrt(sigma2))(engine_);
+  }
+  double pareto(double x_m, double alpha) {
+    double u = std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
+    if (u < 1e-12) u = 1e-12;
+    return x_m / std::pow(u, 1.0 / alpha);
+  }
+  bool chance(double p) { return std::bernoulli_distribution(p)(engine_); }
+
+ private:
+  std::mt19937_64 engine_;
+};
+
+/// Draws one value from each side with the distribution `pick` names.
+template <typename Stream>
+double draw(Stream& s, int pick) {
+  switch (pick) {
+    case 0: return s.uniform(-3.0, 7.5);
+    case 1: return static_cast<double>(s.uniform_int(0, 6));  // rejection path
+    case 2: return static_cast<double>(s.uniform_int(-1000000, 1000000000000));
+    case 3: return s.exponential(42.0);
+    case 4: return s.normal(5.0, 2.0);  // polar method: a variable draw count
+    case 5: return s.normal(1.0, 0.0);
+    case 6: return s.lognormal_mean_cv(120.0, 0.3);
+    case 7: return s.lognormal_mean_cv(120.0, 0.0);  // draws nothing
+    case 8: return s.pareto(2.0, 1.5);
+    default: return s.chance(0.3) ? 1.0 : 0.0;
+  }
+}
+
+TEST(RngDifferential, EveryDistributionMatchesTheStdEngineStream) {
+  for (const std::uint64_t seed : kSeeds) {
+    // One stream per distribution, and one that interleaves them all so
+    // the switch lands inside every kind of multi-draw sample.
+    for (int only = -1; only < 10; ++only) {
+      RngStream stream(seed);
+      ReferenceStream reference(seed);
+      std::minstd_rand order(static_cast<std::uint32_t>(seed ^ (seed >> 32)) + 1);
+      for (int i = 0; i < kDraws; ++i) {
+        const int pick = only >= 0 ? only : static_cast<int>(order() % 10);
+        const double got = draw(stream, pick);
+        const double want = draw(reference, pick);
+        ASSERT_EQ(got, want) << "seed " << seed << ", call " << i << ", kind " << pick;
+      }
+    }
+  }
+}
+
+TEST(RngDifferential, FactoryStreamsMatchTheStdEngine) {
+  const RngFactory factory(20150615);
+  for (std::uint64_t index = 0; index < 16; ++index) {
+    RngStream stream = factory.stream("fleet-timing", index);
+    RngStream copy = stream;
+    std::uint64_t state = 20150615 ^ fnv1a("fleet-timing") ^ (index * 0x9E3779B97F4A7C15ULL);
+    (void)splitmix64(state);
+    ReferenceStream reference(splitmix64(state));
+    for (int i = 0; i < 400; ++i) {
+      const double want = reference.lognormal_mean_cv(30.0, 0.25);
+      ASSERT_EQ(stream.lognormal_mean_cv(30.0, 0.25), want);
+      ASSERT_EQ(copy.lognormal_mean_cv(30.0, 0.25), want);
+    }
+  }
 }
 
 }  // namespace
