@@ -22,28 +22,36 @@ int main() {
   metrics::TextTable table({"region", "on-demand (sim)", "on-demand (paper)",
                             "spot (sim)", "spot (paper)"});
 
+  // Times each grant from its request and releases the server at once.
+  struct Sampler final : cloud::LeaseOwner {
+    cloud::CloudProvider& provider;
+    sim::Clock& clock;
+    double sum[2] = {0.0, 0.0};  ///< by tag: 0 on-demand, 1 spot
+    int done[2] = {0, 0};
+    Sampler(cloud::CloudProvider& p, sim::Clock& c) : provider(p), clock(c) {}
+    void on_ready(cloud::InstanceId iid, cloud::LeaseTag tag) override {
+      sum[tag] += sim::to_seconds(clock.now() - provider.instance(iid).requested_at);
+      ++done[tag];
+      provider.terminate(iid);
+    }
+    void on_failed(cloud::InstanceId, cloud::LeaseTag, cloud::AllocFailure) override {}
+    void on_revocation(cloud::InstanceId, cloud::LeaseTag, sim::SimTime) override {}
+  };
+
   constexpr int kSamples = 200;
   for (const auto& row : rows) {
     const cloud::MarketId m = bench::market(row.region, "small");
-    double od_sum = 0.0, spot_sum = 0.0;
-    int od_done = 0, spot_done = 0;
+    Sampler sampler(provider, engine);
+    const cloud::LeaseOwnerId owner = provider.add_owner(&sampler);
     for (int i = 0; i < kSamples; ++i) {
-      const sim::SimTime begun = engine.now();
-      provider.request_on_demand(m, [&, begun](cloud::InstanceId iid) {
-        od_sum += sim::to_seconds(engine.now() - begun);
-        ++od_done;
-        provider.terminate(iid);
-      });
-      provider.request_spot(
-          m, /*bid=*/1e9,  // never rejected: we are sampling latency only
-          [&, begun](cloud::InstanceId iid) {
-            spot_sum += sim::to_seconds(engine.now() - begun);
-            ++spot_done;
-            provider.terminate(iid);
-          },
-          [](cloud::AllocFailure) {});
+      provider.request_on_demand(m, owner, /*tag=*/0);
+      // Never rejected at this bid: we are sampling latency only.
+      provider.request_spot(m, /*bid=*/1e9, owner, /*tag=*/1);
       engine.run_until(engine.now() + sim::kHour);
     }
+    provider.remove_owner(owner);
+    const double od_sum = sampler.sum[0], spot_sum = sampler.sum[1];
+    const int od_done = sampler.done[0], spot_done = sampler.done[1];
     table.add_row({row.region, metrics::fmt(od_sum / od_done, 2),
                    metrics::fmt(row.paper_od, 2),
                    metrics::fmt(spot_sum / spot_done, 2),

@@ -6,6 +6,10 @@
 #
 # Fails with the offending include lines if src/sched/, src/virt/, or
 # src/cloud/ reach into the concrete engine header.
+#
+# Also fails if std::function appears on the lease path (the provider and
+# the migration engine): leases reach their owner through the typed
+# cloud::LeaseOwner interface and a tag, never through a stored closure.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -22,7 +26,17 @@ for layer in src/sched src/virt src/cloud; do
   fi
 done
 
+lease_path=(src/cloud/provider.hpp src/cloud/provider.cpp
+            src/sched/migration_engine.hpp src/sched/migration_engine.cpp)
+if matches=$(grep -n 'std::function' "${lease_path[@]}" 2>/dev/null); then
+  echo "LEASE PATH VIOLATION: no std::function in the provider or the" \
+       "migration engine (use cloud::LeaseOwner and a tag):"
+  echo "$matches"
+  status=1
+fi
+
 if [ "$status" -eq 0 ]; then
-  echo "layering OK: src/sched, src/virt, src/cloud depend only on sim::Clock"
+  echo "layering OK: src/sched, src/virt, src/cloud depend only on sim::Clock;" \
+       "the lease path holds no std::function"
 fi
 exit "$status"

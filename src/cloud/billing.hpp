@@ -17,7 +17,7 @@
 
 namespace spothost::cloud {
 
-enum class BillingMode { kOnDemand, kSpot };
+enum class BillingMode : std::uint8_t { kOnDemand, kSpot };
 
 enum class TerminationCause {
   kCustomer,         ///< voluntary terminate → final partial hour billed

@@ -141,56 +141,78 @@ std::vector<std::string> CloudProvider::regions() const {
   return out;
 }
 
-InstanceId CloudProvider::request_on_demand(const MarketId& id, ReadyCallback on_ready,
-                                            FailCallback on_fail) {
-  return request_on_demand(index(id), std::move(on_ready), std::move(on_fail));
+LeaseOwnerId CloudProvider::add_owner(LeaseOwner* owner) {
+  if (owner == nullptr) {
+    throw std::invalid_argument("CloudProvider::add_owner: null owner");
+  }
+  owners_.push_back(owner);
+  return static_cast<LeaseOwnerId>(owners_.size());
 }
 
-InstanceId CloudProvider::request_on_demand(MarketIndex market, ReadyCallback on_ready,
-                                            FailCallback on_fail) {
+void CloudProvider::remove_owner(LeaseOwnerId id) {
+  if (id != kNoLeaseOwner && id <= owners_.size()) owners_[id - 1] = nullptr;
+}
+
+InstanceId CloudProvider::request_on_demand(const MarketId& id, LeaseOwnerId owner,
+                                            LeaseTag tag) {
+  return request_on_demand(index(id), owner, tag);
+}
+
+void CloudProvider::require_owner(LeaseOwnerId owner) const {
+  if (owner == kNoLeaseOwner || owner > owners_.size() || owners_[owner - 1] == nullptr) {
+    throw std::invalid_argument("CloudProvider: request without a registered owner");
+  }
+}
+
+InstanceId CloudProvider::request_on_demand(MarketIndex market, LeaseOwnerId owner,
+                                            LeaseTag tag) {
+  require_owner(owner);
   const MarketSlot& m = slot(market);
-  const auto iid = static_cast<InstanceId>(instances_.size() + 1);
   if (auto* tracer = clock_.tracer(); tracer && tracer->enabled()) {
     auto e = provider_event(obs::EventKind::kBidPlaced, clock_.now(), m.name);
     e.code = obs::code::kOnDemand;
-    e.instance = iid;
+    e.instance = issued_ + 1;
     e.value = m.market->on_demand_price();
     tracer->emit(e);
   }
-  return issue(market, BillingMode::kOnDemand, 0.0, std::move(on_ready),
-               std::move(on_fail));
+  return issue(market, BillingMode::kOnDemand, 0.0, owner, tag);
 }
 
 InstanceId CloudProvider::request_spot(const MarketId& id, double bid,
-                                       ReadyCallback on_ready, FailCallback on_fail) {
-  return request_spot(index(id), bid, std::move(on_ready), std::move(on_fail));
+                                       LeaseOwnerId owner, LeaseTag tag) {
+  return request_spot(index(id), bid, owner, tag);
 }
 
 InstanceId CloudProvider::request_spot(MarketIndex market, double bid,
-                                       ReadyCallback on_ready, FailCallback on_fail) {
+                                       LeaseOwnerId owner, LeaseTag tag) {
   if (bid <= 0) throw std::invalid_argument("request_spot: bid must be > 0");
+  require_owner(owner);
   const MarketSlot& m = slot(market);
-  const auto iid = static_cast<InstanceId>(instances_.size() + 1);
   if (auto* tracer = clock_.tracer(); tracer && tracer->enabled()) {
     auto e = provider_event(obs::EventKind::kBidPlaced, clock_.now(), m.name);
     e.code = obs::code::kSpot;
-    e.instance = iid;
+    e.instance = issued_ + 1;
     e.value = bid;
     e.aux = m.market->price();
     tracer->emit(e);
   }
-  return issue(market, BillingMode::kSpot, bid, std::move(on_ready), std::move(on_fail));
+  return issue(market, BillingMode::kSpot, bid, owner, tag);
 }
 
 InstanceId CloudProvider::issue(MarketIndex market, BillingMode mode, double bid,
-                                ReadyCallback on_ready, FailCallback on_fail) {
-  const auto iid = static_cast<InstanceId>(instances_.size() + 1);
-  Record& rec = instances_.emplace_back();
+                                LeaseOwnerId owner, LeaseTag tag) {
+  const InstanceId iid = issued_ + 1;
+  const auto i = static_cast<std::size_t>(issued_);
+  if (i % kChunkRecords == 0) chunks_.push_back(std::make_unique<Record[]>(kChunkRecords));
+  issued_ = iid;
+  Record& rec = at(iid);
   rec.inst.id = iid;
   rec.inst.market = market;
   rec.inst.mode = mode;
   rec.inst.bid = bid;
   rec.inst.requested_at = clock_.now();
+  rec.owner = owner;
+  rec.tag = tag;
 
   Region& region = regions_[markets_[market].region];
   const AllocationLatency lat = region.latency.value_or(AllocationLatency{});
@@ -202,31 +224,13 @@ InstanceId CloudProvider::issue(MarketIndex market, BillingMode mode, double bid
                              ? region.rng->lognormal_mean_cv(lat.spot_mean_s, lat.spot_cv)
                              : region.rng->lognormal_mean_cv(lat.on_demand_mean_s,
                                                              lat.on_demand_cv);
-
-  if (free_sides_.empty()) {
-    rec.side = static_cast<std::uint32_t>(sides_.size());
-    sides_.emplace_back();
-  } else {
-    rec.side = free_sides_.back();
-    free_sides_.pop_back();
-  }
-  Side& side = sides_[rec.side];
-  side.on_ready = std::move(on_ready);
-  side.on_fail = std::move(on_fail);
-  side.grant =
-      clock_.after(sim::from_seconds(delay_s), [this, iid] { complete_grant(iid); });
+  rec.grant =
+      clock_.after(sim::from_seconds(delay_s), [this, iid] { complete_grant(iid); }).id();
   return iid;
 }
 
-void CloudProvider::release_side(Record& rec) {
-  if (rec.side == kNoSide) return;
-  sides_[rec.side] = Side{};
-  free_sides_.push_back(rec.side);
-  rec.side = kNoSide;
-}
-
 void CloudProvider::complete_grant(InstanceId iid) {
-  Record& rec = record(iid);
+  Record& rec = at(iid);
   if (rec.inst.state != InstanceState::kPending) return;  // cancelled
   Instance& inst = rec.inst;
   auto* injector = clock_.fault_injector();
@@ -234,35 +238,28 @@ void CloudProvider::complete_grant(InstanceId iid) {
   // Injected allocation timeout: the grant takes alloc_timeout_extra_s
   // longer (once per request); price and capacity are re-checked at the new
   // completion time, so a delayed spot grant can still be price-rejected.
-  if (injector != nullptr && !sides_[rec.side].delayed &&
+  if (injector != nullptr && !rec.delayed &&
       injector->should_inject(faults::FaultKind::kAllocTimeout,
                               markets_[inst.market].name, iid)) {
-    Side& side = sides_[rec.side];
-    side.delayed = true;
-    side.grant =
-        clock_.after(sim::from_seconds(injector->plan().alloc_timeout_extra_s),
-                     [this, iid] { complete_grant(iid); });
+    rec.delayed = true;
+    rec.grant = clock_
+                    .after(sim::from_seconds(injector->plan().alloc_timeout_extra_s),
+                           [this, iid] { complete_grant(iid); })
+                    .id();
     return;
   }
+  rec.grant = sim::kInvalidEventId;
 
-  // Callbacks leave the side slot before any of them runs: they may issue
-  // requests, which can grow (and move) the side table.
-  Side& side = sides_[rec.side];
-  const ReadyCallback on_ready = std::move(side.on_ready);
-  const FailCallback on_fail = std::move(side.on_fail);
-  side.grant.reset();
-
-  // Injected capacity error: the provider has no server to hand out. Only
-  // requests that supplied a failure path are eligible — an unobservable
-  // failure would silently strand the requester.
-  if (on_fail && injector != nullptr &&
+  // Injected capacity error: the provider has no server to hand out.
+  if (injector != nullptr &&
       injector->should_inject(faults::FaultKind::kAllocInsufficientCapacity,
                               markets_[inst.market].name, iid)) {
     inst.state = InstanceState::kTerminated;
-    release_side(rec);
     SPOTHOST_LOG(sim::LogLevel::kDebug, clock_.now(),
                  "request " << iid << " failed: insufficient capacity (injected)");
-    on_fail(AllocFailure::kInsufficientCapacity);
+    if (LeaseOwner* owner = lease_owner(rec.owner)) {
+      owner->on_failed(iid, rec.tag, AllocFailure::kInsufficientCapacity);
+    }
     return;
   }
 
@@ -271,19 +268,18 @@ void CloudProvider::complete_grant(InstanceId iid) {
     const double current = market.price();
     if (current > inst.bid) {
       inst.state = InstanceState::kTerminated;
-      release_side(rec);
       SPOTHOST_LOG(sim::LogLevel::kDebug, clock_.now(),
                    "spot request " << iid << " rejected: price " << current
                                    << " > bid " << inst.bid);
-      if (on_fail) on_fail(AllocFailure::kPriceAboveBid);
+      if (LeaseOwner* owner = lease_owner(rec.owner)) {
+        owner->on_failed(iid, rec.tag, AllocFailure::kPriceAboveBid);
+      }
       return;
     }
   }
   inst.state = InstanceState::kRunning;
   inst.launch = clock_.now();
-  if (inst.mode == BillingMode::kSpot) {
-    markets_[inst.market].running_spot.emplace(inst.bid, iid);
-  }
+  if (inst.mode == BillingMode::kSpot) index_bid(rec);
   if (auto* tracer = clock_.tracer(); tracer && tracer->enabled()) {
     auto e = provider_event(obs::EventKind::kAcquisition, clock_.now(),
                             markets_[inst.market].name);
@@ -298,15 +294,49 @@ void CloudProvider::complete_grant(InstanceId iid) {
     }
     tracer->emit(e);
   }
-  if (on_ready) on_ready(iid);
+  if (LeaseOwner* owner = lease_owner(rec.owner)) owner->on_ready(iid, rec.tag);
+}
+
+void CloudProvider::index_bid(Record& rec) {
+  RunningSpot& levels = markets_[rec.inst.market].running_spot;
+  const double bid = rec.inst.bid;
+  const auto it = std::lower_bound(
+      levels.begin(), levels.end(), bid,
+      [](const BidLevel& level, double b) { return level.bid < b; });
+  if (it != levels.end() && it->bid == bid) {
+    rec.level_pos = static_cast<std::uint32_t>(it->size());
+    it->rest.push_back(rec.inst.id);
+  } else {
+    levels.insert(it, BidLevel{bid, rec.inst.id, {}});
+    rec.level_pos = 0;
+  }
+}
+
+void CloudProvider::unindex_bid(Record& rec) {
+  RunningSpot& levels = markets_[rec.inst.market].running_spot;
+  const auto it = std::lower_bound(
+      levels.begin(), levels.end(), rec.inst.bid,
+      [](const BidLevel& level, double b) { return level.bid < b; });
+  // Swap-remove: the level's last id takes this one's place and learns its
+  // new position.
+  if (it->rest.empty()) {
+    levels.erase(it);
+    return;
+  }
+  const InstanceId moved = it->rest.back();
+  it->rest.pop_back();
+  if (moved != rec.inst.id) {
+    it->at(rec.level_pos) = moved;
+    at(moved).level_pos = rec.level_pos;
+  }
 }
 
 void CloudProvider::cancel_request(InstanceId id) {
   if (!issued(id)) return;
-  Record& rec = instances_[static_cast<std::size_t>(id - 1)];
+  Record& rec = at(id);
   if (rec.inst.state != InstanceState::kPending) return;
-  sides_[rec.side].grant.cancel();
-  release_side(rec);
+  clock_.cancel(rec.grant);
+  rec.grant = sim::kInvalidEventId;
   rec.inst.state = InstanceState::kTerminated;
 }
 
@@ -314,12 +344,14 @@ void CloudProvider::set_instance_owner(InstanceId id, std::uint64_t owner) {
   record(id).inst.owner = owner;
 }
 
-void CloudProvider::set_revocation_handler(InstanceId id, RevocationHandler handler) {
+void CloudProvider::arm_revocation(InstanceId id, LeaseTag tag) {
   Record& rec = record(id);
   if (rec.inst.mode != BillingMode::kSpot) {
-    throw std::logic_error("set_revocation_handler: not a spot instance");
+    throw std::logic_error("arm_revocation: not a spot instance");
   }
-  if (rec.side != kNoSide) sides_[rec.side].on_revocation = std::move(handler);
+  if (rec.inst.state == InstanceState::kTerminated) return;
+  rec.armed = true;
+  rec.revocation_tag = tag;
 }
 
 void CloudProvider::terminate(InstanceId id) {
@@ -334,12 +366,12 @@ void CloudProvider::terminate(InstanceId id) {
 
 CloudProvider::Record& CloudProvider::record(InstanceId id) {
   if (!issued(id)) throw std::out_of_range("CloudProvider: unknown instance");
-  return instances_[static_cast<std::size_t>(id - 1)];
+  return at(id);
 }
 
 const Instance& CloudProvider::instance(InstanceId id) const {
   if (!issued(id)) throw std::out_of_range("CloudProvider: unknown instance");
-  return instances_[static_cast<std::size_t>(id - 1)].inst;
+  return at(id).inst;
 }
 
 void CloudProvider::on_price_change(MarketIndex market, double new_price) {
@@ -349,21 +381,21 @@ void CloudProvider::on_price_change(MarketIndex market, double new_price) {
     e.value = new_price;
     tracer->emit(e);
   }
-  // Walk this market's running spot index up to the new price; warn those
-  // whose bid is now exceeded. Only the affected instances are visited — a
-  // price step never scales with the fleet. Snapshot the ids: handlers may
-  // mutate state.
+  // Walk this market's bid levels up to the new price; warn those whose bid
+  // is now exceeded. Only the affected instances are visited — a price step
+  // never scales with the fleet. Snapshot the ids: owners may mutate state.
   std::vector<InstanceId> to_warn = std::move(warn_spare_);
   to_warn.clear();
-  for (auto it = m.running_spot.begin();
-       it != m.running_spot.end() && it->first < new_price; ++it) {
-    to_warn.push_back(it->second);
+  for (const BidLevel& level : m.running_spot) {
+    if (!(level.bid < new_price)) break;
+    to_warn.push_back(level.first);
+    to_warn.insert(to_warn.end(), level.rest.begin(), level.rest.end());
   }
   std::sort(to_warn.begin(), to_warn.end());  // deterministic order
   for (const InstanceId iid : to_warn) {
-    Record& rec = record(iid);
+    Record& rec = at(iid);
     Instance& inst = rec.inst;
-    m.running_spot.erase({inst.bid, inst.id});
+    if (inst.state == InstanceState::kRunning) unindex_bid(rec);
     inst.state = InstanceState::kWarned;
     inst.termination_time = clock_.now() + grace_;
     SPOTHOST_LOG(sim::LogLevel::kDebug, clock_.now(),
@@ -376,11 +408,14 @@ void CloudProvider::on_price_change(MarketIndex market, double new_price) {
     // one arrives warning_delay_s late, capped at t_term. The delivery
     // event is scheduled BEFORE the termination event so that, at equal
     // timestamps, FIFO dispatch hands the customer the warning before the
-    // provider pulls the server. Instances without a registered handler are
-    // never faulted — nobody would observe the difference.
-    RevocationHandler handler = sides_[rec.side].on_revocation;
+    // provider pulls the server. Unarmed instances are never faulted —
+    // nobody would observe the difference. The delivery goes to the owner
+    // and tag armed now, even if the lease has ended by then.
+    const bool armed = rec.armed;
+    const LeaseOwnerId owner = rec.owner;
+    const LeaseTag tag = rec.revocation_tag;
     sim::SimTime deliver_at = clock_.now();
-    if (handler) {
+    if (armed) {
       if (auto* injector = clock_.fault_injector()) {
         if (injector->should_inject(faults::FaultKind::kWarningDropped, m.name, iid)) {
           deliver_at = inst.termination_time;
@@ -392,14 +427,16 @@ void CloudProvider::on_price_change(MarketIndex market, double new_price) {
         }
       }
       if (deliver_at > clock_.now()) {
-        clock_.at(deliver_at, [handler, iid, t_term = inst.termination_time] {
-          handler(iid, t_term);
+        clock_.at(deliver_at, [this, iid, owner, tag] {
+          if (LeaseOwner* o = lease_owner(owner)) {
+            o->on_revocation(iid, tag, at(iid).inst.termination_time);
+          }
         });
       }
     }
 
     clock_.at(inst.termination_time, [this, iid] {
-      Record& victim = record(iid);
+      Record& victim = at(iid);
       if (victim.inst.state != InstanceState::kWarned) return;  // customer beat us
       complete_lease(victim, TerminationCause::kProviderRevoked, clock_.now());
     });
@@ -410,8 +447,10 @@ void CloudProvider::on_price_change(MarketIndex market, double new_price) {
       e.aux = sim::to_seconds(inst.termination_time);
       tracer->emit(e);
     }
-    if (handler && deliver_at == clock_.now()) {
-      handler(iid, inst.termination_time);
+    if (armed && deliver_at == clock_.now()) {
+      if (LeaseOwner* o = lease_owner(owner)) {
+        o->on_revocation(iid, tag, inst.termination_time);
+      }
     }
   }
   to_warn.clear();
@@ -423,7 +462,7 @@ void CloudProvider::complete_lease(Record& rec, TerminationCause cause,
   Instance& inst = rec.inst;
   MarketSlot& m = markets_[inst.market];
   if (inst.mode == BillingMode::kSpot && inst.state == InstanceState::kRunning) {
-    m.running_spot.erase({inst.bid, inst.id});
+    unindex_bid(rec);
   }
   BillingRecord record;
   record.instance_id = inst.id;
@@ -439,20 +478,20 @@ void CloudProvider::complete_lease(Record& rec, TerminationCause cause,
     record.cost = spot_cost(m.market->billable_trace(end), inst.launch, end, cause);
   }
   inst.state = InstanceState::kTerminated;
-  release_side(rec);
   ledger_.add(std::move(record));
 }
 
-void CloudProvider::finalize(sim::SimTime at) {
+void CloudProvider::finalize(sim::SimTime at_time) {
   // Cancel outstanding requests and bill running instances, in id order.
-  for (Record& rec : instances_) {
+  for (InstanceId iid = 1; iid <= issued_; ++iid) {
+    Record& rec = at(iid);
     switch (rec.inst.state) {
       case InstanceState::kPending:
-        cancel_request(rec.inst.id);
+        cancel_request(iid);
         break;
       case InstanceState::kRunning:
       case InstanceState::kWarned:
-        complete_lease(rec, TerminationCause::kCustomer, at);
+        complete_lease(rec, TerminationCause::kCustomer, at_time);
         break;
       case InstanceState::kTerminated:
         break;

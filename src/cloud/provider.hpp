@@ -7,14 +7,20 @@
 //  * when the spot price rises above the bid, the provider issues a warning
 //    and forcibly terminates the instance `grace` later (default 120 s);
 //  * billing per cloud/billing.hpp.
+//
+// The lease path is data, not closures. A customer registers a LeaseOwner
+// once (add_owner) and names it, with a one-byte tag, in every request:
+// the provider stores the owner id and the tag in the instance's record and
+// hands both back in on_ready / on_failed / on_revocation, so the owner
+// dispatches on the tag instead of capturing per-request state. The tag
+// means whatever the owner wants (sched::LeaseFlow names the scheduler's
+// request flows); the provider only copies it. A removed owner is told
+// nothing more, whatever is still pending for it.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -30,7 +36,7 @@ namespace spothost::cloud {
 using InstanceId = std::uint64_t;
 inline constexpr InstanceId kInvalidInstance = 0;
 
-enum class InstanceState { kPending, kRunning, kWarned, kTerminated };
+enum class InstanceState : std::uint8_t { kPending, kRunning, kWarned, kTerminated };
 
 /// Why a server request failed at grant time.
 enum class AllocFailure : std::uint8_t {
@@ -50,22 +56,44 @@ struct Instance {
   InstanceId id = kInvalidInstance;
   MarketIndex market = 0;  ///< CloudProvider::name(market) is its MarketId::str()
   BillingMode mode = BillingMode::kOnDemand;
-  double bid = 0.0;  ///< spot only
   InstanceState state = InstanceState::kPending;
+  double bid = 0.0;  ///< spot only
   sim::SimTime requested_at = 0;
   sim::SimTime launch = 0;            ///< valid once running
   sim::SimTime termination_time = 0;  ///< valid once warned
   std::uint64_t owner = kNoOwner;     ///< see BillingRecord::owner
 };
 
+/// The owner's label for a request: which of its flows asked. Copied into
+/// the instance's record and handed back with every notification.
+using LeaseTag = std::uint8_t;
+
+/// Who hears about a lease. Notifications are synchronous, inside the
+/// provider event that causes them, and may issue requests or terminate
+/// instances reentrantly.
+class LeaseOwner {
+ public:
+  /// The request `instance` was granted: it is running.
+  virtual void on_ready(InstanceId instance, LeaseTag tag) = 0;
+  /// The request `instance` failed at grant time; it reads kTerminated.
+  virtual void on_failed(InstanceId instance, LeaseTag tag, AllocFailure reason) = 0;
+  /// The armed spot instance `instance` will be revoked at `t_term`. `tag`
+  /// is the one of the arm_revocation call in effect when the warning was
+  /// issued.
+  virtual void on_revocation(InstanceId instance, LeaseTag tag,
+                             sim::SimTime t_term) = 0;
+
+ protected:
+  ~LeaseOwner() = default;
+};
+
+/// A registered LeaseOwner (CloudProvider::add_owner). Ids are dense from 1
+/// and never reused.
+using LeaseOwnerId = std::uint32_t;
+inline constexpr LeaseOwnerId kNoLeaseOwner = 0;
+
 class CloudProvider : private SpotMarket::PriceListener {
  public:
-  using ReadyCallback = std::function<void(InstanceId)>;
-  using FailCallback = std::function<void(AllocFailure)>;
-  /// Revocation warning: fired when the price crosses the bid; the instance
-  /// is forcibly terminated at `termination_time` (= warning time + grace).
-  using RevocationHandler = std::function<void(InstanceId, sim::SimTime termination_time)>;
-
   CloudProvider(sim::Clock& clock, const sim::RngFactory& rng_factory,
                 sim::SimTime grace_period = 120 * sim::kSecond);
 
@@ -118,21 +146,29 @@ class CloudProvider : private SpotMarket::PriceListener {
   /// market(idx).id().str(), computed once when the market was added.
   [[nodiscard]] const std::string& name(MarketIndex idx) const { return slot(idx).name; }
 
-  /// Requests an on-demand server; `on_ready` fires after allocation latency.
-  /// `on_fail` (optional) receives injected capacity errors; requests without
-  /// one are never capacity-faulted (the failure would be unobservable).
-  InstanceId request_on_demand(const MarketId& id, ReadyCallback on_ready,
-                               FailCallback on_fail = {});
-  InstanceId request_on_demand(MarketIndex market, ReadyCallback on_ready,
-                               FailCallback on_fail = {});
+  // --- lease owners ------------------------------------------------------
+  /// Registers `owner` (not owned; non-null) for lease notifications.
+  LeaseOwnerId add_owner(LeaseOwner* owner);
+  /// Deregisters: `id` is told nothing more — no grant, failure or warning,
+  /// including those already scheduled. Its leases run on and are billed.
+  void remove_owner(LeaseOwnerId id);
 
-  /// Requests a spot server at `bid`; `on_fail` fires with the reason if the
-  /// price exceeds the bid when allocation completes, or when the fault
-  /// injector raises an insufficient-capacity error at grant time.
-  InstanceId request_spot(const MarketId& id, double bid, ReadyCallback on_ready,
-                          FailCallback on_fail);
-  InstanceId request_spot(MarketIndex market, double bid, ReadyCallback on_ready,
-                          FailCallback on_fail);
+  // --- leases --------------------------------------------------------------
+  // Each request returns the new instance's id synchronously; the grant (or
+  // its failure) reaches `owner` with `tag` after the allocation latency.
+  // `owner` must be a registered owner; throws std::invalid_argument if not.
+
+  /// Requests an on-demand server. It fails only on an injected capacity
+  /// error.
+  InstanceId request_on_demand(const MarketId& id, LeaseOwnerId owner, LeaseTag tag);
+  InstanceId request_on_demand(MarketIndex market, LeaseOwnerId owner, LeaseTag tag);
+
+  /// Requests a spot server at `bid`. It fails if the price exceeds the bid
+  /// when allocation completes, or on an injected capacity error.
+  InstanceId request_spot(const MarketId& id, double bid, LeaseOwnerId owner,
+                          LeaseTag tag);
+  InstanceId request_spot(MarketIndex market, double bid, LeaseOwnerId owner,
+                          LeaseTag tag);
 
   /// Cancels a still-pending request. No-op if it already completed.
   void cancel_request(InstanceId id);
@@ -143,9 +179,12 @@ class CloudProvider : private SpotMarket::PriceListener {
   /// termination. Re-tagging overwrites.
   void set_instance_owner(InstanceId id, std::uint64_t owner);
 
-  /// Installs the revocation-warning handler for a spot instance. A handler
-  /// installed after the lease ended is dropped: nothing would call it.
-  void set_revocation_handler(InstanceId id, RevocationHandler handler);
+  /// Arms the revocation warning of spot instance `id`: its owner's
+  /// on_revocation receives it with `tag`. Re-arming replaces the tag; an
+  /// instance never armed is warned and revoked all the same, and only the
+  /// owner hears nothing. Arming after the lease ended is a no-op. Throws
+  /// std::logic_error for an on-demand instance.
+  void arm_revocation(InstanceId id, LeaseTag tag);
 
   /// Customer-initiated termination (bills the final partial hour).
   void terminate(InstanceId id);
@@ -164,12 +203,41 @@ class CloudProvider : private SpotMarket::PriceListener {
   [[nodiscard]] const BillingLedger& ledger() const noexcept { return ledger_; }
 
  private:
-  static constexpr std::uint32_t kNoSide = UINT32_MAX;
+  /// The lease state of one issued id: the public Instance plus what the
+  /// provider needs to call its owner back.
+  struct Record {
+    Instance inst;
+    sim::EventId grant = sim::kInvalidEventId;  ///< pending grant event
+    LeaseOwnerId owner = kNoLeaseOwner;
+    /// Position of the id in its bid level (a running spot instance only).
+    std::uint32_t level_pos = 0;
+    LeaseTag tag = 0;             ///< the request's tag
+    LeaseTag revocation_tag = 0;  ///< the last arm_revocation's tag
+    bool armed = false;           ///< arm_revocation was called
+    bool delayed = false;         ///< an injected allocation timeout already fired
+  };
 
-  /// Running spot instances of one market as (bid, id), ordered by bid, so
-  /// a step to price p visits only the instances bidding below p — never
-  /// the whole fleet. Revocation order is fixed by sorting the affected ids.
-  using RunningSpot = std::set<std::pair<double, InstanceId>>;
+  /// Running spot instances of one market bidding one price.
+  struct BidLevel {
+    double bid = 0.0;
+    /// The level's ids in no order; ids[k] is `first` for k == 0 and
+    /// rest[k - 1] after, so a one-id level — every level, under
+    /// distinct per-lease bids — allocates nothing.
+    InstanceId first = kInvalidInstance;
+    std::vector<InstanceId> rest;
+
+    [[nodiscard]] std::size_t size() const noexcept { return rest.size() + 1; }
+    [[nodiscard]] InstanceId& at(std::size_t k) noexcept {
+      return k == 0 ? first : rest[k - 1];
+    }
+  };
+  /// The bid index of one market: its running spot instances as levels in
+  /// ascending bid, so a step to price p visits only the levels bidding
+  /// below p — never the whole fleet. A grant appends its id to its level
+  /// and a removal swap-removes it, both O(1) once the level is found; a
+  /// fleet with one bid per market keeps one level per market. Revocation
+  /// order is fixed by sorting the affected ids.
+  using RunningSpot = std::vector<BidLevel>;
 
   struct MarketSlot {
     std::unique_ptr<SpotMarket> market;
@@ -182,28 +250,19 @@ class CloudProvider : private SpotMarket::PriceListener {
     std::optional<AllocationLatency> latency;  ///< unset = Table 1 defaults
     std::unique_ptr<sim::RngStream> rng;       ///< created on first request
   };
-  /// The callbacks of one live instance: kept apart from the Instance so the
-  /// slab of every instance ever issued stays small. A slot is taken at
-  /// request time and recycled once the lease ends, the grant fails or the
-  /// request is cancelled.
-  struct Side {
-    ReadyCallback on_ready;
-    FailCallback on_fail;
-    RevocationHandler on_revocation;
-    sim::EventHandle grant;
-    bool delayed = false;  ///< an injected allocation timeout already fired
-  };
-  struct Record {
-    Instance inst;
-    std::uint32_t side = kNoSide;
-  };
+
+  /// Records per slab chunk: a chunk is allocated once per this many
+  /// requests, and records never move.
+  static constexpr std::size_t kChunkRecords = 256;
 
   void adopt_market(std::unique_ptr<SpotMarket> market_ptr);
   [[nodiscard]] const MarketSlot& slot(MarketIndex idx) const;
   [[nodiscard]] MarketSlot& slot(MarketIndex idx);
   [[nodiscard]] std::uint32_t region_index(const std::string& region);
-  InstanceId issue(MarketIndex market, BillingMode mode, double bid,
-                   ReadyCallback on_ready, FailCallback on_fail);
+  /// Throws std::invalid_argument unless `owner` is registered.
+  void require_owner(LeaseOwnerId owner) const;
+  InstanceId issue(MarketIndex market, BillingMode mode, double bid, LeaseOwnerId owner,
+                   LeaseTag tag);
   /// SpotMarket::PriceListener — one virtual hop per price step.
   void on_price(const SpotMarket& market, double new_price) override {
     on_price_change(market.index(), new_price);
@@ -211,10 +270,24 @@ class CloudProvider : private SpotMarket::PriceListener {
   void on_price_change(MarketIndex market, double new_price);
   void complete_grant(InstanceId id);
   void complete_lease(Record& rec, TerminationCause cause, sim::SimTime end);
-  /// Recycles the record's side slot (if any) for the next request.
-  void release_side(Record& rec);
+  /// Files a newly running spot instance in its market's bid index.
+  void index_bid(Record& rec);
+  /// Removes a running spot instance from its market's bid index.
+  void unindex_bid(Record& rec);
+  /// The owner a record names (always registered), or nullptr once removed.
+  [[nodiscard]] LeaseOwner* lease_owner(LeaseOwnerId id) const noexcept {
+    return owners_[id - 1];
+  }
   [[nodiscard]] bool issued(InstanceId id) const noexcept {
-    return id != kInvalidInstance && id <= instances_.size();
+    return id != kInvalidInstance && id <= issued_;
+  }
+  /// The record of an issued id, unchecked.
+  [[nodiscard]] Record& at(InstanceId id) noexcept {
+    const auto i = static_cast<std::size_t>(id - 1);
+    return chunks_[i / kChunkRecords][i % kChunkRecords];
+  }
+  [[nodiscard]] const Record& at(InstanceId id) const noexcept {
+    return const_cast<CloudProvider&>(*this).at(id);
   }
   /// The record of an issued id; throws std::out_of_range for any other.
   Record& record(InstanceId id);
@@ -227,12 +300,12 @@ class CloudProvider : private SpotMarket::PriceListener {
   std::vector<MarketSlot> markets_;  ///< by MarketIndex
   std::unordered_map<MarketId, MarketIndex, MarketIdHash> index_;
   std::vector<Region> regions_;
+  std::vector<LeaseOwner*> owners_;  ///< by LeaseOwnerId - 1; nullptr = removed
 
-  /// Instance id i lives at instances_[i - 1]; a deque, so references stay
-  /// valid while requests made from callbacks append to it.
-  std::deque<Record> instances_;
-  std::vector<Side> sides_;
-  std::vector<std::uint32_t> free_sides_;
+  /// The instance slab: id i lives at record i - 1 of the chunked table, so
+  /// references stay valid while requests made from callbacks append to it.
+  std::vector<std::unique_ptr<Record[]>> chunks_;
+  InstanceId issued_ = 0;  ///< ids issued so far (the last id)
   /// Revocation batch reused across price steps; a reentrant step finds it
   /// taken (moved out) and allocates its own.
   std::vector<InstanceId> warn_spare_;

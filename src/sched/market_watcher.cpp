@@ -82,7 +82,12 @@ std::vector<MarketWatcher::Entry>* MarketWatcher::filing(const Interest& interes
           [](const Bucket& b, double edge) { return b.edge < edge; });
       if (it != book.above.end() && it->edge == interest.edge) return &it->entries;
       if (!create) return nullptr;
-      return &book.above.insert(it, Bucket{interest.edge, {}})->entries;
+      Bucket bucket{interest.edge, {}};
+      if (!spare_lists_.empty()) {
+        bucket.entries = std::move(spare_lists_.back());
+        spare_lists_.pop_back();
+      }
+      return &book.above.insert(it, std::move(bucket))->entries;
     }
   }
   return nullptr;
@@ -112,9 +117,13 @@ void MarketWatcher::unfile(const Interest& interest, const Watch& watch) {
     }
   }
   if (list->empty() && interest.kind == Interest::Kind::kAbove) {
+    // An emptied bucket leaves the step path; its list's capacity waits
+    // for the next bucket created, so refiling back allocates nothing.
     auto& above = markets_[watch.market].above;
-    above.erase(std::find_if(above.begin(), above.end(),
-                             [list](const Bucket& b) { return &b.entries == list; }));
+    const auto it = std::find_if(above.begin(), above.end(),
+                                 [list](const Bucket& b) { return &b.entries == list; });
+    spare_lists_.push_back(std::move(it->entries));
+    above.erase(it);
   }
 }
 
@@ -124,17 +133,6 @@ sim::EventHandle MarketWatcher::schedule_hour_tick(ListenerId id, sim::SimTime a
     trigger.kind = TriggerKind::kHourBoundary;
     deliver(id, trigger);
   });
-}
-
-void MarketWatcher::arm_revocation(ListenerId id, cloud::InstanceId instance) {
-  provider_.set_revocation_handler(
-      instance, [this, id](cloud::InstanceId warned, sim::SimTime t_term) {
-        Trigger trigger;
-        trigger.kind = TriggerKind::kRevocation;
-        trigger.instance = warned;
-        trigger.t_term = t_term;
-        deliver(id, trigger);
-      });
 }
 
 void MarketWatcher::on_price_change(cloud::MarketIndex market, double new_price) {

@@ -11,8 +11,10 @@
 //  * kPriceChange  — a watched market's spot price ticked;
 //  * kHourBoundary — a billing-hour check the listener asked to be woken
 //    for (per-instance hours are listener state, so the watcher only owns
-//    the delivery, not the schedule);
-//  * kRevocation   — the provider warned an instance the listener armed.
+//    the delivery, not the schedule).
+//
+// Revocation warnings do not pass through here: the provider hands them to
+// the instance's cloud::LeaseOwner directly.
 //
 // Fan-out is indexed by interest (paper Sec. 3: the proactive scheduler is
 // edge-triggered, so most price steps are no-ops for most services). Each
@@ -87,15 +89,13 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   using ListenerId = std::uint64_t;
   inline static constexpr ListenerId kInvalidListener = 0;
 
-  enum class TriggerKind : std::uint8_t { kPriceChange, kHourBoundary, kRevocation };
+  enum class TriggerKind : std::uint8_t { kPriceChange, kHourBoundary };
 
   /// One typed notification. Only the fields of the firing kind are set.
   struct Trigger {
     TriggerKind kind = TriggerKind::kPriceChange;
-    cloud::MarketIndex market = 0;                       ///< kPriceChange
-    double price = 0.0;                                  ///< kPriceChange
-    cloud::InstanceId instance = cloud::kInvalidInstance;///< kRevocation
-    sim::SimTime t_term = 0;                             ///< kRevocation
+    cloud::MarketIndex market = 0;  ///< kPriceChange
+    double price = 0.0;             ///< kPriceChange
   };
 
   /// The listener surface. Direct interface dispatch — the watcher holds a
@@ -113,8 +113,8 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
     ///    Interest matches the step (set_interest). A listener that
     ///    declares kNone or kAbove promises that every step it is not sent
     ///    would have been a complete no-op: no state change, no provider
-    ///    call, no trace, no event scheduled. Hour and revocation triggers
-    ///    are always delivered.
+    ///    call, no trace, no event scheduled. Hour triggers are always
+    ///    delivered.
     ///  * Listeners sharing a market fire in the order they started
     ///    watching it; same registrations, same dispatch order, every run.
     ///  * The listener object must stay valid until remove_listener
@@ -178,17 +178,6 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   /// Schedules a kHourBoundary trigger for `id` at absolute time `at`.
   /// Returns the event handle to cancel it through.
   sim::EventHandle schedule_hour_tick(ListenerId id, sim::SimTime at);
-
-  /// Routes the provider's revocation warning for `instance` to `id` as a
-  /// kRevocation trigger (replaces any previously installed handler).
-  ///
-  /// The watcher only owns routing; *when* the warning arrives is the
-  /// provider's business. Under fault injection (src/faults) the warning may
-  /// be delivered late (kWarningDelayed) or collapse onto the termination
-  /// instant itself (kWarningDropped) — still strictly before the instance
-  /// is torn down, but possibly with `t_term == now`. Listeners must not
-  /// assume the full grace window is left when the trigger fires.
-  void arm_revocation(ListenerId id, cloud::InstanceId instance);
 
   /// Provider-side price-feed subscriptions this watcher holds — bounded by
   /// the market count, never by the listener count.
@@ -268,6 +257,9 @@ class MarketWatcher : private cloud::SpotMarket::PriceListener {
   /// Recipient buffer reused across steps; a reentrant dispatch finds it
   /// taken (moved out) and allocates its own.
   std::vector<Entry> spare_;
+  /// Entry lists of emptied buckets, kept for their capacity: a new bucket
+  /// takes one, so a refile that re-creates a bucket allocates nothing.
+  std::vector<std::vector<Entry>> spare_lists_;
   Stats stats_;
 };
 

@@ -40,12 +40,14 @@ virt::MechanismCombo live_stripped(virt::MechanismCombo combo) noexcept {
 MigrationEngine::MigrationEngine(sim::Clock& clock,
                                  cloud::CloudProvider& provider,
                                  workload::ServiceEndpoint& service,
-                                 MigrationHost& host, const SchedulerConfig& config,
+                                 MigrationHost& host, cloud::LeaseOwnerId lease_owner,
+                                 const SchedulerConfig& config,
                                  const virt::VmSpec& spec, sim::RngStream& timing_rng)
     : clock_(clock),
       provider_(provider),
       service_(service),
       host_(host),
+      lease_owner_(lease_owner),
       config_(config),
       spec_(spec),
       rng_(timing_rng),
@@ -85,48 +87,10 @@ void MigrationEngine::begin_voluntary(virt::MigrationClass cls, const Placement&
   m.target_on_demand = target.on_demand;
   migration_ = m;
 
-  if (target.on_demand) {
-    migration_->dest = provider_.request_on_demand(
-        market,
-        [this](InstanceId iid) {
-          if (!migration_ || migration_->dest != iid) return;
-          migration_->dest_ready = true;
-          start_transfer();
-        },
-        [this, cls](cloud::AllocFailure) {
-          // Only an injected capacity fault can land here (on-demand never
-          // fails on price). The injector already traced it; drop the move
-          // unless the host's retry policy is allowed to re-trigger.
-          if (!migration_) return;
-          migration_.reset();
-          if (config_.retry.retries_enabled()) host_.on_voluntary_dest_failed(cls);
-        });
-  } else {
-    migration_->dest = provider_.request_spot(
-        market, target.bid,
-        [this](InstanceId iid) {
-          if (!migration_ || migration_->dest != iid) return;
-          migration_->dest_ready = true;
-          provider_.set_revocation_handler(
-              iid, [this](InstanceId warned, SimTime t_term) {
-                host_.on_revocation_warning(warned, t_term);
-              });
-          start_transfer();
-        },
-        [this, cls, market](cloud::AllocFailure reason) {
-          host_.trace({.kind = obs::EventKind::kSpotRequestFailed, .market = market});
-          if (!migration_) return;
-          migration_.reset();
-          if (reason == cloud::AllocFailure::kInsufficientCapacity &&
-              !config_.retry.retries_enabled()) {
-            return;  // retries-off ablation: the faulted move is just dropped
-          }
-          // The chosen market evaporated; the host decides whether to retry
-          // (planned: fall back to on-demand if the trigger still holds;
-          // reverse: try again next billing hour).
-          host_.on_voluntary_dest_failed(cls);
-        });
-  }
+  const cloud::LeaseTag dest_tag = tag(LeaseFlow::kVoluntaryDest);
+  migration_->dest = target.on_demand
+                         ? provider_.request_on_demand(market, lease_owner_, dest_tag)
+                         : provider_.request_spot(market, target.bid, lease_owner_, dest_tag);
   if (owner_ != cloud::kNoOwner) {
     provider_.set_instance_owner(migration_->dest, owner_);
   }
@@ -141,6 +105,53 @@ void MigrationEngine::begin_voluntary(virt::MigrationClass cls, const Placement&
                (cls == virt::MigrationClass::kReverse ? "reverse" : "planned")
                    << " migration -> " << provider_.name(market)
                    << (target.on_demand ? " (on-demand)" : " (spot)"));
+}
+
+void MigrationEngine::lease_ready(InstanceId instance, LeaseFlow flow) {
+  if (flow == LeaseFlow::kForcedDest) {
+    if (!forced_ || forced_->dest != instance) return;
+    forced_->dest_ready = true;
+    forced_->dest_ready_at = clock_.now();
+    forced_try_resume();
+    return;
+  }
+  if (!migration_ || migration_->dest != instance) return;
+  migration_->dest_ready = true;
+  if (!migration_->target_on_demand) {
+    provider_.arm_revocation(instance, tag(LeaseFlow::kVoluntaryDest));
+  }
+  start_transfer();
+}
+
+void MigrationEngine::lease_failed(InstanceId instance, LeaseFlow flow,
+                                   cloud::AllocFailure reason) {
+  if (flow == LeaseFlow::kForcedDest) {
+    on_forced_dest_failed();
+    return;
+  }
+  const cloud::Instance& dest = provider_.instance(instance);
+  if (dest.mode == cloud::BillingMode::kOnDemand) {
+    // Only an injected capacity fault can land here (on-demand never fails
+    // on price). The injector already traced it; drop the move unless the
+    // host's retry policy is allowed to re-trigger.
+    if (!migration_) return;
+    const auto cls = migration_->cls;
+    migration_.reset();
+    if (config_.retry.retries_enabled()) host_.on_voluntary_dest_failed(cls);
+    return;
+  }
+  host_.trace({.kind = obs::EventKind::kSpotRequestFailed, .market = dest.market});
+  if (!migration_) return;
+  const auto cls = migration_->cls;
+  migration_.reset();
+  if (reason == cloud::AllocFailure::kInsufficientCapacity &&
+      !config_.retry.retries_enabled()) {
+    return;  // retries-off ablation: the faulted move is just dropped
+  }
+  // The chosen market evaporated; the host decides whether to retry
+  // (planned: fall back to on-demand if the trigger still holds; reverse:
+  // try again next billing hour).
+  host_.on_voluntary_dest_failed(cls);
 }
 
 void MigrationEngine::start_transfer() {
@@ -267,15 +278,8 @@ std::optional<virt::MigrationClass> MigrationEngine::dest_warned(InstanceId inst
 // ---------------------------------------------------------------------------
 
 InstanceId MigrationEngine::request_forced_dest(MarketIndex od_market) {
-  const InstanceId iid = provider_.request_on_demand(
-      od_market,
-      [this](InstanceId granted) {
-        if (!forced_ || forced_->dest != granted) return;
-        forced_->dest_ready = true;
-        forced_->dest_ready_at = clock_.now();
-        forced_try_resume();
-      },
-      [this](cloud::AllocFailure) { on_forced_dest_failed(); });
+  const InstanceId iid =
+      provider_.request_on_demand(od_market, lease_owner_, tag(LeaseFlow::kForcedDest));
   if (owner_ != cloud::kNoOwner) provider_.set_instance_owner(iid, owner_);
   return iid;
 }

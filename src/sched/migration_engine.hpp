@@ -31,6 +31,22 @@
 
 namespace spothost::sched {
 
+/// The scheduler's lease flows: the cloud::LeaseTag of every request a
+/// CloudScheduler or its MigrationEngine makes, and of every revocation it
+/// arms. The CloudScheduler is the lease owner of all of them; it handles
+/// its own flows and passes the engine's to it.
+enum class LeaseFlow : cloud::LeaseTag {
+  kAcquire,            ///< initial acquisition, and its fault retries
+  kPureSpotReacquire,  ///< the pure-spot baseline's (re)acquisition
+  kVoluntaryDest,      ///< a planned/reverse migration's destination
+  kForcedDest,         ///< a forced migration's on-demand replacement
+  kHolding,            ///< armed only: the server the service runs on
+};
+
+[[nodiscard]] constexpr cloud::LeaseTag tag(LeaseFlow flow) noexcept {
+  return static_cast<cloud::LeaseTag>(flow);
+}
+
 /// Why an in-flight planned/reverse migration was torn down. Only
 /// kPriceRecovered counts as a "spike cancellation" in the stats.
 enum class AbandonReason : std::uint8_t {
@@ -66,7 +82,13 @@ struct HostEvent {
 ///    synchronously from complete_switchover). Implementations must tolerate
 ///    being invoked while their own call into the engine is on the stack.
 ///  * adopt() transfers ownership of `instance` to the host, which becomes
-///    responsible for its revocation handler and eventual termination.
+///    responsible for arming its revocation warning and for its eventual
+///    termination.
+///  * The host is the lease owner of the engine's requests (the owner id
+///    the engine is built with): it passes the provider's answers to
+///    lease_ready / lease_failed, and a warning for a destination the
+///    engine armed (LeaseFlow::kVoluntaryDest) back into its own trigger
+///    handling.
 ///  * on_voluntary_dest_failed is advisory: the engine has already torn the
 ///    migration down; the host may re-trigger or drop the move. It is NOT
 ///    called when fault-recovery retries are disabled (the retries-off
@@ -97,10 +119,6 @@ class MigrationHost {
   /// A voluntary destination request failed or its instance was revoked
   /// before adoption; the host may retry per its trigger policy.
   virtual void on_voluntary_dest_failed(virt::MigrationClass cls) = 0;
-  /// A revocation warning for an instance the engine armed (a voluntary
-  /// spot destination) — route back through the host's trigger handling.
-  virtual void on_revocation_warning(cloud::InstanceId instance,
-                                     sim::SimTime t_term) = 0;
 
   /// Trace pipeline (counters + attached tracer) — the engine never emits
   /// events around the host.
@@ -109,10 +127,12 @@ class MigrationHost {
 
 class MigrationEngine {
  public:
+  /// `lease_owner` is the host's registered cloud::LeaseOwner: the engine
+  /// names it in every request it makes.
   MigrationEngine(sim::Clock& clock, cloud::CloudProvider& provider,
                   workload::ServiceEndpoint& service, MigrationHost& host,
-                  const SchedulerConfig& config, const virt::VmSpec& spec,
-                  sim::RngStream& timing_rng);
+                  cloud::LeaseOwnerId lease_owner, const SchedulerConfig& config,
+                  const virt::VmSpec& spec, sim::RngStream& timing_rng);
 
   MigrationEngine(const MigrationEngine&) = delete;
   MigrationEngine& operator=(const MigrationEngine&) = delete;
@@ -131,6 +151,13 @@ class MigrationEngine {
   /// Tears down the in-flight voluntary migration (cancels or releases the
   /// destination, emits the abandon event).
   void abandon(AbandonReason reason);
+
+  /// The provider granted the engine's request `instance` (flow
+  /// kVoluntaryDest or kForcedDest).
+  void lease_ready(cloud::InstanceId instance, LeaseFlow flow);
+  /// The engine's request `instance` failed at grant time.
+  void lease_failed(cloud::InstanceId instance, LeaseFlow flow,
+                    cloud::AllocFailure reason);
 
   /// Consumes a revocation warning aimed at the in-flight voluntary
   /// destination: abandons it and returns its class so the host can retry.
@@ -205,6 +232,7 @@ class MigrationEngine {
   cloud::CloudProvider& provider_;
   workload::ServiceEndpoint& service_;
   MigrationHost& host_;
+  cloud::LeaseOwnerId lease_owner_;
   const SchedulerConfig& config_;
   const virt::VmSpec& spec_;
   sim::RngStream& rng_;

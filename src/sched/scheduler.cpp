@@ -86,9 +86,10 @@ CloudScheduler::CloudScheduler(sim::Clock& clock,
                                   config_.allowed_regions);
   placement_ = placement_policy_for(config_);
   bidding_ = bid_strategy_for(config_);
+  lease_owner_ = provider_.add_owner(static_cast<cloud::LeaseOwner*>(this));
   MigrationHost& host = *this;  // private base: convert in class scope
-  engine_ = std::make_unique<MigrationEngine>(clock_, provider_, service_,
-                                              host, config_, spec_, rng_);
+  engine_ = std::make_unique<MigrationEngine>(clock_, provider_, service_, host,
+                                              lease_owner_, config_, spec_, rng_);
   listener_ = watcher_.add_listener(
       static_cast<MarketWatcher::TriggerListener*>(this));
   refresh_interest();
@@ -98,6 +99,7 @@ CloudScheduler::~CloudScheduler() {
   if (listener_ != MarketWatcher::kInvalidListener) {
     watcher_.remove_listener(listener_);
   }
+  provider_.remove_owner(lease_owner_);
 }
 
 void CloudScheduler::set_owner_tag(std::uint64_t owner) {
@@ -195,11 +197,87 @@ void CloudScheduler::on_trigger(const MarketWatcher::Trigger& trigger) {
       hour_check_event_.reset();
       on_hour_check();
       break;
-    case MarketWatcher::TriggerKind::kRevocation:
-      on_revocation_warning(trigger.instance, trigger.t_term);
-      break;
   }
   refresh_interest();
+}
+
+void CloudScheduler::on_ready(InstanceId instance, cloud::LeaseTag tag) {
+  switch (const auto flow = static_cast<LeaseFlow>(tag)) {
+    case LeaseFlow::kAcquire: {
+      pending_acquire_ = cloud::kInvalidInstance;
+      const cloud::Instance& inst = provider_.instance(instance);
+      adopt(instance, inst.market, inst.mode == cloud::BillingMode::kOnDemand);
+      break;
+    }
+    case LeaseFlow::kPureSpotReacquire:
+      pure_spot_ready(instance);
+      break;
+    case LeaseFlow::kVoluntaryDest:
+    case LeaseFlow::kForcedDest:
+      engine_->lease_ready(instance, flow);
+      break;
+    case LeaseFlow::kHolding:
+      break;  // never requested under this tag
+  }
+}
+
+void CloudScheduler::on_failed(InstanceId instance, cloud::LeaseTag tag,
+                               cloud::AllocFailure reason) {
+  switch (const auto flow = static_cast<LeaseFlow>(tag)) {
+    case LeaseFlow::kAcquire: {
+      pending_acquire_ = cloud::kInvalidInstance;
+      const cloud::Instance& inst = provider_.instance(instance);
+      const MarketIndex market = inst.market;
+      if (inst.mode == cloud::BillingMode::kOnDemand) {
+        on_acquire_capacity_failed(market, /*was_spot=*/false);
+        break;
+      }
+      trace({.kind = obs::EventKind::kSpotRequestFailed, .market = market});
+      if (reason == cloud::AllocFailure::kInsufficientCapacity) {
+        on_acquire_capacity_failed(market, /*was_spot=*/true);
+        break;
+      }
+      acquire_initial();  // price moved; re-evaluate (likely on-demand now)
+      break;
+    }
+    case LeaseFlow::kPureSpotReacquire:
+      pending_acquire_ = cloud::kInvalidInstance;
+      trace({.kind = obs::EventKind::kSpotRequestFailed, .market = home_});
+      if (reason == cloud::AllocFailure::kInsufficientCapacity) {
+        // Injected capacity fault: the price is fine, so no price-change
+        // trigger will come — back off and retry the same market.
+        on_acquire_capacity_failed(home_, /*was_spot=*/false);
+      }
+      // Price failure: wait for the next price change; on_price_change
+      // retries.
+      break;
+    case LeaseFlow::kVoluntaryDest:
+    case LeaseFlow::kForcedDest:
+      engine_->lease_failed(instance, flow, reason);
+      break;
+    case LeaseFlow::kHolding:
+      break;  // never requested under this tag
+  }
+}
+
+void CloudScheduler::on_revocation(InstanceId instance, cloud::LeaseTag tag,
+                                   SimTime t_term) {
+  // The held server's warning is an entry point like a trigger, so the
+  // interest is re-declared after it; a destination's warning goes to the
+  // trigger handling the engine reports into, which re-declares its own.
+  switch (static_cast<LeaseFlow>(tag)) {
+    case LeaseFlow::kHolding:
+      on_revocation_warning(instance, t_term);
+      refresh_interest();
+      break;
+    case LeaseFlow::kVoluntaryDest:
+      on_revocation_warning(instance, t_term);
+      break;
+    case LeaseFlow::kAcquire:
+    case LeaseFlow::kPureSpotReacquire:
+    case LeaseFlow::kForcedDest:
+      break;  // never armed under these tags
+  }
 }
 
 MarketWatcher::Interest CloudScheduler::price_interest() const {
@@ -246,21 +324,8 @@ void CloudScheduler::acquire_initial() {
   const auto best = placement_->choose_spot(provider_, config_, query);
   if (best) {
     const MarketIndex target = provider_.index(best->market);
-    pending_acquire_ = provider_.request_spot(
-        target, best->bid,
-        [this, target](InstanceId iid) {
-          pending_acquire_ = cloud::kInvalidInstance;
-          adopt(iid, target, /*on_demand=*/false);
-        },
-        [this, target](cloud::AllocFailure reason) {
-          pending_acquire_ = cloud::kInvalidInstance;
-          trace({.kind = obs::EventKind::kSpotRequestFailed, .market = target});
-          if (reason == cloud::AllocFailure::kInsufficientCapacity) {
-            on_acquire_capacity_failed(target, /*was_spot=*/true);
-            return;
-          }
-          acquire_initial();  // price moved; re-evaluate (likely on-demand now)
-        });
+    pending_acquire_ = provider_.request_spot(target, best->bid, lease_owner_,
+                                              tag(LeaseFlow::kAcquire));
     if (owner_tag_ != cloud::kNoOwner) {
       provider_.set_instance_owner(pending_acquire_, owner_tag_);
     }
@@ -268,16 +333,8 @@ void CloudScheduler::acquire_initial() {
   }
   const MarketIndex od_market =
       provider_.index(placement_->choose_on_demand(provider_, config_, query).market);
-  pending_acquire_ = provider_.request_on_demand(
-      od_market,
-      [this, od_market](InstanceId iid) {
-        pending_acquire_ = cloud::kInvalidInstance;
-        adopt(iid, od_market, /*on_demand=*/true);
-      },
-      [this, od_market](cloud::AllocFailure) {
-        pending_acquire_ = cloud::kInvalidInstance;
-        on_acquire_capacity_failed(od_market, /*was_spot=*/false);
-      });
+  pending_acquire_ =
+      provider_.request_on_demand(od_market, lease_owner_, tag(LeaseFlow::kAcquire));
   if (owner_tag_ != cloud::kNoOwner) {
     provider_.set_instance_owner(pending_acquire_, owner_tag_);
   }
@@ -339,7 +396,7 @@ void CloudScheduler::adopt(InstanceId instance, MarketIndex market, bool on_dema
     service_live_ = true;
   }
   if (!on_demand) {
-    watcher_.arm_revocation(listener_, instance);
+    provider_.arm_revocation(instance, tag(LeaseFlow::kHolding));
     // Guard against adopting into an already-hot market.
     if (bidding_->plans_migrations(config_) && config_.on_demand_allowed() &&
         effective_spot_price(provider_, market, units_needed()) > od_threshold()) {
@@ -558,46 +615,37 @@ void CloudScheduler::pure_spot_reacquire() {
   const double bid =
       bidding_->bid_for(provider_, config_, config_.home_market, clock_.now());
   if (provider_.price(home) > bid) return;  // wait for a price-change event
-  pending_acquire_ = provider_.request_spot(
-      home, bid,
-      [this, home](InstanceId iid) {
-        pending_acquire_ = cloud::kInvalidInstance;
-        if (!service_live_ || service_.is_up()) {
-          adopt(iid, home, /*on_demand=*/false);
-          return;
-        }
-        // Restoring after an outage: resume from the checkpoint volume.
-        const std::string& region = config_.home_market.region;
-        const auto timings =
-            engine_->planner().plan(virt::MigrationClass::kForced, spec_, region, region);
-        const SimTime restore = engine_->jittered(timings.restore_s);
-        const SimTime degraded = engine_->jittered(timings.degraded_s);
-        clock_.after(restore, [this, iid, home, degraded] {
-          if (!service_.is_up()) {
-            service_.end_outage(clock_.now(), degraded > 0);
-            if (degraded > 0) {
-              clock_.at(clock_.now() + degraded, [this] {
-                service_.end_degraded(clock_.now());
-              });
-            }
-          }
-          adopt(iid, home, /*on_demand=*/false);
-        });
-      },
-      [this, home](cloud::AllocFailure reason) {
-        pending_acquire_ = cloud::kInvalidInstance;
-        trace({.kind = obs::EventKind::kSpotRequestFailed, .market = home});
-        if (reason == cloud::AllocFailure::kInsufficientCapacity) {
-          // Injected capacity fault: the price is fine, so no price-change
-          // trigger will come — back off and retry the same market.
-          on_acquire_capacity_failed(home, /*was_spot=*/false);
-        }
-        // Price failure: wait for the next price change; on_price_change
-        // retries.
-      });
+  pending_acquire_ = provider_.request_spot(home, bid, lease_owner_,
+                                            tag(LeaseFlow::kPureSpotReacquire));
   if (owner_tag_ != cloud::kNoOwner) {
     provider_.set_instance_owner(pending_acquire_, owner_tag_);
   }
+}
+
+void CloudScheduler::pure_spot_ready(InstanceId iid) {
+  pending_acquire_ = cloud::kInvalidInstance;
+  const MarketIndex home = home_;
+  if (!service_live_ || service_.is_up()) {
+    adopt(iid, home, /*on_demand=*/false);
+    return;
+  }
+  // Restoring after an outage: resume from the checkpoint volume.
+  const std::string& region = config_.home_market.region;
+  const auto timings =
+      engine_->planner().plan(virt::MigrationClass::kForced, spec_, region, region);
+  const SimTime restore = engine_->jittered(timings.restore_s);
+  const SimTime degraded = engine_->jittered(timings.degraded_s);
+  clock_.after(restore, [this, iid, degraded] {
+    if (!service_.is_up()) {
+      service_.end_outage(clock_.now(), degraded > 0);
+      if (degraded > 0) {
+        clock_.at(clock_.now() + degraded, [this] {
+          service_.end_degraded(clock_.now());
+        });
+      }
+    }
+    adopt(iid, home_, /*on_demand=*/false);
+  });
 }
 
 // ---------------------------------------------------------------------------

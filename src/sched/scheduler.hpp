@@ -5,9 +5,12 @@
 // The scheduler is a thin state machine composing three layers:
 //
 //  * MarketWatcher  (sched/market_watcher.hpp) — *when* to move: price
-//    ticks, billing-hour boundaries, and revocation warnings arrive as
-//    typed triggers. A watcher can be shared by a whole fleet, holding one
-//    provider subscription per market however many schedulers listen.
+//    ticks and billing-hour boundaries arrive as typed triggers. A watcher
+//    can be shared by a whole fleet, holding one provider subscription per
+//    market however many schedulers listen. Revocation warnings, grants and
+//    request failures arrive from the provider directly: the scheduler is
+//    the cloud::LeaseOwner of every request it and its engine make, and
+//    dispatches on the request's LeaseFlow tag.
 //  * PlacementPolicy (sched/placement.hpp) — *where* to move: destination
 //    market, billing mode, and bid. The scope-driven default reproduces the
 //    paper's single/multi-market/multi-region selection; custom policies
@@ -48,7 +51,8 @@
 namespace spothost::sched {
 
 class CloudScheduler : private MigrationHost,
-                       private MarketWatcher::TriggerListener {
+                       private MarketWatcher::TriggerListener,
+                       private cloud::LeaseOwner {
  public:
   enum class State { kAcquiring, kOnSpot, kOnDemand, kDown };
 
@@ -62,6 +66,10 @@ class CloudScheduler : private MigrationHost,
   /// Fleet composition: listens on a shared MarketWatcher, so N schedulers
   /// over M markets cost O(M) provider subscriptions instead of O(N×M).
   /// The watcher must outlive the scheduler.
+  ///
+  /// Either way the provider must outlive the scheduler: the scheduler is a
+  /// registered cloud::LeaseOwner, and its destructor deregisters, so a
+  /// destroyed scheduler is told nothing more.
   CloudScheduler(sim::Clock& clock, cloud::CloudProvider& provider,
                  MarketWatcher& watcher, workload::ServiceEndpoint& service,
                  SchedulerConfig config, sim::RngStream timing_rng);
@@ -130,6 +138,16 @@ class CloudScheduler : private MigrationHost,
   void refresh_interest();
   void on_hour_check();
 
+  // --- leases (cloud::LeaseOwner) --------------------------------------
+  /// Grants, failures and warnings of every request this scheduler and its
+  /// engine made, dispatched on the LeaseFlow tag.
+  void on_ready(cloud::InstanceId instance, cloud::LeaseTag tag) override;
+  void on_failed(cloud::InstanceId instance, cloud::LeaseTag tag,
+                 cloud::AllocFailure reason) override;
+  void on_revocation(cloud::InstanceId instance, cloud::LeaseTag tag,
+                     sim::SimTime t_term) override;
+  void on_revocation_warning(cloud::InstanceId instance, sim::SimTime t_term);
+
   // --- acquisition ----------------------------------------------------
   void acquire_initial();
   /// Fault-recovery ladder for injected capacity failures while acquiring:
@@ -147,6 +165,9 @@ class CloudScheduler : private MigrationHost,
 
   // --- pure spot --------------------------------------------------------
   void pure_spot_reacquire();
+  /// The pure-spot request `instance` was granted: adopt it, resuming from
+  /// the checkpoint volume if the service is down.
+  void pure_spot_ready(cloud::InstanceId instance);
 
   // --- helpers ----------------------------------------------------------
   [[nodiscard]] double od_threshold() const;  ///< p_on comparator in current region
@@ -175,7 +196,6 @@ class CloudScheduler : private MigrationHost,
   void on_source_lost() override;
   void on_source_released() override;
   void on_voluntary_dest_failed(virt::MigrationClass cls) override;
-  void on_revocation_warning(cloud::InstanceId instance, sim::SimTime t_term) override;
 
   /// Counts the event in counters_ (the stats backing store) and, if the
   /// clock's tracer is enabled, emits it there as an obs::TraceEvent.
@@ -193,6 +213,7 @@ class CloudScheduler : private MigrationHost,
   std::shared_ptr<const BidStrategy> bidding_;
   std::unique_ptr<MigrationEngine> engine_;
   MarketWatcher::ListenerId listener_ = MarketWatcher::kInvalidListener;
+  cloud::LeaseOwnerId lease_owner_ = cloud::kNoLeaseOwner;
   cloud::MarketIndex home_ = 0;  ///< config_.home_market
   /// config_'s scope candidates, resolved once; every PlacementQuery
   /// carries them.

@@ -18,6 +18,48 @@ using sim::kSecond;
 
 const MarketId kSmallEast{"us-east-1a", InstanceSize::kSmall};
 
+/// A test-local lease owner: records every notification it receives, with
+/// the time it arrived, then runs the matching hook (if set).
+struct RecordingOwner final : LeaseOwner {
+  struct Ready {
+    InstanceId instance;
+    LeaseTag tag;
+    sim::SimTime at;
+  };
+  struct Failed {
+    InstanceId instance;
+    LeaseTag tag;
+    AllocFailure reason;
+  };
+  struct Warning {
+    InstanceId instance;
+    LeaseTag tag;
+    sim::SimTime t_term;
+    sim::SimTime at;
+  };
+
+  explicit RecordingOwner(const sim::Clock& c) : clock(c) {}
+
+  void on_ready(InstanceId instance, LeaseTag tag) override {
+    ready.push_back({instance, tag, clock.now()});
+    if (ready_hook) ready_hook(instance);
+  }
+  void on_failed(InstanceId instance, LeaseTag tag, AllocFailure reason) override {
+    failed.push_back({instance, tag, reason});
+  }
+  void on_revocation(InstanceId instance, LeaseTag tag, sim::SimTime t_term) override {
+    warnings.push_back({instance, tag, t_term, clock.now()});
+    if (warning_hook) warning_hook(instance);
+  }
+
+  const sim::Clock& clock;
+  std::vector<Ready> ready;
+  std::vector<Failed> failed;
+  std::vector<Warning> warnings;
+  std::function<void(InstanceId)> ready_hook;
+  std::function<void(InstanceId)> warning_hook;
+};
+
 // Fixture with one market whose price starts cheap, spikes at t=2h, and
 // recovers at t=3h; deterministic (zero-CV) allocation latencies.
 class ProviderTest : public ::testing::Test {
@@ -38,69 +80,65 @@ class ProviderTest : public ::testing::Test {
     provider_.start();
   }
 
+  InstanceId spot(double bid, LeaseTag tag = 0) {
+    return provider_.request_spot(kSmallEast, bid, me_, tag);
+  }
+  InstanceId on_demand(LeaseTag tag = 0) {
+    return provider_.request_on_demand(kSmallEast, me_, tag);
+  }
+
   sim::Simulation sim_;
   sim::RngFactory rng_;
   CloudProvider provider_;
+  RecordingOwner owner_{sim_};
+  LeaseOwnerId me_ = provider_.add_owner(&owner_);
 };
 
 TEST_F(ProviderTest, OnDemandArrivesAfterAllocationLatency) {
-  std::optional<sim::SimTime> ready_at;
-  provider_.request_on_demand(kSmallEast,
-                              [&](InstanceId) { ready_at = sim_.now(); });
+  const InstanceId iid = on_demand(/*tag=*/7);
   sim_.run_until(kHour);
-  ASSERT_TRUE(ready_at.has_value());
-  EXPECT_EQ(*ready_at, 90 * kSecond);
+  ASSERT_EQ(owner_.ready.size(), 1u);
+  EXPECT_EQ(owner_.ready[0].instance, iid);
+  EXPECT_EQ(owner_.ready[0].tag, 7);
+  EXPECT_EQ(owner_.ready[0].at, 90 * kSecond);
 }
 
 TEST_F(ProviderTest, SpotGrantedWhenPriceBelowBid) {
-  std::optional<InstanceId> granted;
-  bool failed = false;
-  provider_.request_spot(
-      kSmallEast, 0.06, [&](InstanceId iid) { granted = iid; },
-      [&](AllocFailure) { failed = true; });
+  const InstanceId iid = spot(0.06);
   sim_.run_until(kHour);
-  ASSERT_TRUE(granted.has_value());
-  EXPECT_FALSE(failed);
-  const auto& inst = provider_.instance(*granted);
+  ASSERT_EQ(owner_.ready.size(), 1u);
+  EXPECT_EQ(owner_.ready[0].instance, iid);
+  EXPECT_TRUE(owner_.failed.empty());
+  const auto& inst = provider_.instance(iid);
   EXPECT_EQ(inst.state, InstanceState::kRunning);
   EXPECT_EQ(inst.launch, 240 * kSecond);
 }
 
 TEST_F(ProviderTest, SpotRejectedWhenPriceAboveBidAtGrant) {
   // Request just before the spike; allocation completes inside the spike.
-  bool granted = false;
-  bool failed = false;
-  sim_.at(2 * kHour - kMinute, [&] {
-    provider_.request_spot(
-        kSmallEast, 0.06, [&](InstanceId) { granted = true; }, [&](AllocFailure) { failed = true; });
-  });
+  sim_.at(2 * kHour - kMinute, [&] { spot(0.06, /*tag=*/3); });
   sim_.run_until(4 * kHour);
-  EXPECT_FALSE(granted);
-  EXPECT_TRUE(failed);
+  EXPECT_TRUE(owner_.ready.empty());
+  ASSERT_EQ(owner_.failed.size(), 1u);
+  EXPECT_EQ(owner_.failed[0].tag, 3);
+  EXPECT_EQ(owner_.failed[0].reason, AllocFailure::kPriceAboveBid);
 }
 
 TEST_F(ProviderTest, RevocationWarningThenGraceThenTermination) {
-  std::optional<InstanceId> iid;
-  provider_.request_spot(kSmallEast, 0.06, [&](InstanceId i) { iid = i; }, [](AllocFailure) {});
+  const InstanceId iid = spot(0.06);
   sim_.run_until(kHour);
-  ASSERT_TRUE(iid.has_value());
-
-  std::optional<sim::SimTime> warned_at;
-  std::optional<sim::SimTime> term_time;
-  provider_.set_revocation_handler(*iid, [&](InstanceId, sim::SimTime t_term) {
-    warned_at = sim_.now();
-    term_time = t_term;
-  });
+  provider_.arm_revocation(iid, /*tag=*/5);
   sim_.run_until(5 * kHour);
-  ASSERT_TRUE(warned_at.has_value());
-  EXPECT_EQ(*warned_at, 2 * kHour);                      // spike instant
-  EXPECT_EQ(*term_time, 2 * kHour + 120 * kSecond);      // 2-minute grace
-  EXPECT_EQ(provider_.instance(*iid).state, InstanceState::kTerminated);
+  ASSERT_EQ(owner_.warnings.size(), 1u);
+  EXPECT_EQ(owner_.warnings[0].instance, iid);
+  EXPECT_EQ(owner_.warnings[0].tag, 5);
+  EXPECT_EQ(owner_.warnings[0].at, 2 * kHour);                      // spike instant
+  EXPECT_EQ(owner_.warnings[0].t_term, 2 * kHour + 120 * kSecond);  // 2-minute grace
+  EXPECT_EQ(provider_.instance(iid).state, InstanceState::kTerminated);
 }
 
 TEST_F(ProviderTest, RevokedPartialHourIsFree) {
-  std::optional<InstanceId> iid;
-  provider_.request_spot(kSmallEast, 0.06, [&](InstanceId i) { iid = i; }, [](AllocFailure) {});
+  spot(0.06);
   sim_.run_until(5 * kHour);
   // Launched at 240 s, revoked at 2h+120s = 7320 s. Instance-hours tick at
   // 240s + k*3600s, so only [240, 3840) completed; the in-progress second
@@ -112,10 +150,9 @@ TEST_F(ProviderTest, RevokedPartialHourIsFree) {
 }
 
 TEST_F(ProviderTest, CustomerTerminationBillsPartialHour) {
-  std::optional<InstanceId> iid;
-  provider_.request_spot(kSmallEast, 0.06, [&](InstanceId i) { iid = i; }, [](AllocFailure) {});
+  const InstanceId iid = spot(0.06);
   sim_.run_until(kHour);  // running since 240s
-  provider_.terminate(*iid);
+  provider_.terminate(iid);
   ASSERT_EQ(provider_.ledger().records().size(), 1u);
   const auto& rec = provider_.ledger().records().front();
   EXPECT_EQ(rec.cause, TerminationCause::kCustomer);
@@ -123,12 +160,11 @@ TEST_F(ProviderTest, CustomerTerminationBillsPartialHour) {
 }
 
 TEST_F(ProviderTest, CustomerCanBeatTheGracePeriod) {
-  std::optional<InstanceId> iid;
-  provider_.request_spot(kSmallEast, 0.06, [&](InstanceId i) { iid = i; }, [](AllocFailure) {});
+  const InstanceId iid = spot(0.06);
   sim_.run_until(kHour);
-  provider_.set_revocation_handler(*iid, [&](InstanceId i, sim::SimTime) {
-    provider_.terminate(i);  // bail out immediately on warning
-  });
+  provider_.arm_revocation(iid, 0);
+  // Bail out immediately on warning.
+  owner_.warning_hook = [&](InstanceId i) { provider_.terminate(i); };
   sim_.run_until(5 * kHour);
   ASSERT_EQ(provider_.ledger().records().size(), 1u);
   EXPECT_EQ(provider_.ledger().records().front().cause,
@@ -136,32 +172,28 @@ TEST_F(ProviderTest, CustomerCanBeatTheGracePeriod) {
 }
 
 TEST_F(ProviderTest, CancelPendingRequestPreventsGrant) {
-  bool granted = false;
-  const InstanceId iid = provider_.request_on_demand(
-      kSmallEast, [&](InstanceId) { granted = true; });
+  const InstanceId iid = on_demand();
   provider_.cancel_request(iid);
   sim_.run_until(kHour);
-  EXPECT_FALSE(granted);
+  EXPECT_TRUE(owner_.ready.empty());
   EXPECT_EQ(provider_.instance(iid).state, InstanceState::kTerminated);
 }
 
 TEST_F(ProviderTest, OnDemandNeverRevoked) {
-  std::optional<InstanceId> iid;
-  provider_.request_on_demand(kSmallEast, [&](InstanceId i) { iid = i; });
+  const InstanceId iid = on_demand();
   sim_.run_until(5 * kHour);  // through the spike
-  EXPECT_EQ(provider_.instance(*iid).state, InstanceState::kRunning);
+  EXPECT_EQ(provider_.instance(iid).state, InstanceState::kRunning);
 }
 
+// Named for the handler-installing call that arm_revocation replaced.
 TEST_F(ProviderTest, SetRevocationHandlerOnOnDemandThrows) {
-  std::optional<InstanceId> iid;
-  provider_.request_on_demand(kSmallEast, [&](InstanceId i) { iid = i; });
+  const InstanceId iid = on_demand();
   sim_.run_until(kHour);
-  EXPECT_THROW(provider_.set_revocation_handler(*iid, [](InstanceId, sim::SimTime) {}),
-               std::logic_error);
+  EXPECT_THROW(provider_.arm_revocation(iid, 0), std::logic_error);
 }
 
 TEST_F(ProviderTest, FinalizeBillsRunningInstances) {
-  provider_.request_on_demand(kSmallEast, [](InstanceId) {});
+  on_demand();
   sim_.run_until(10 * kHour);
   provider_.finalize(10 * kHour);
   ASSERT_EQ(provider_.ledger().records().size(), 1u);
@@ -170,19 +202,27 @@ TEST_F(ProviderTest, FinalizeBillsRunningInstances) {
 }
 
 TEST_F(ProviderTest, FinalizeCancelsPendingRequests) {
-  bool granted = false;
-  provider_.request_on_demand(kSmallEast, [&](InstanceId) { granted = true; });
+  on_demand();
   provider_.finalize(0);
   sim_.run_until(kHour);
-  EXPECT_FALSE(granted);
+  EXPECT_TRUE(owner_.ready.empty());
   EXPECT_TRUE(provider_.ledger().records().empty());
 }
 
 TEST_F(ProviderTest, UnknownMarketThrows) {
   const MarketId bogus{"nowhere-1z", InstanceSize::kSmall};
-  EXPECT_THROW(provider_.request_on_demand(bogus, [](InstanceId) {}),
-               std::out_of_range);
+  EXPECT_THROW(provider_.request_on_demand(bogus, me_, 0), std::out_of_range);
   EXPECT_THROW((void)provider_.price(bogus), std::out_of_range);
+}
+
+TEST_F(ProviderTest, RequestWithoutARegisteredOwnerThrows) {
+  EXPECT_THROW(provider_.request_on_demand(kSmallEast, kNoLeaseOwner, 0),
+               std::invalid_argument);
+  EXPECT_THROW(provider_.request_spot(kSmallEast, 0.06, me_ + 1, 0),
+               std::invalid_argument);
+  provider_.remove_owner(me_);
+  EXPECT_THROW(spot(0.06), std::invalid_argument);
+  EXPECT_THROW(provider_.add_owner(nullptr), std::invalid_argument);
 }
 
 TEST_F(ProviderTest, UnknownInstanceThrows) {
@@ -211,30 +251,22 @@ TEST_F(ProviderTest, DuplicateMarketRejected) {
 
 TEST_F(ProviderTest, InstanceIdsAreDenseFromOne) {
   for (InstanceId expected = 1; expected <= 5; ++expected) {
-    const InstanceId iid =
-        expected % 2 == 0
-            ? provider_.request_on_demand(kSmallEast, [](InstanceId) {})
-            : provider_.request_spot(kSmallEast, 0.06, [](InstanceId) {},
-                                     [](AllocFailure) {});
+    const InstanceId iid = expected % 2 == 0 ? on_demand() : spot(0.06);
     EXPECT_EQ(iid, expected);
   }
 }
 
 TEST_F(ProviderTest, EveryIssuedIdAnswersAndEndedOnesReadTerminated) {
   // Cancelled before its grant.
-  const InstanceId cancelled = provider_.request_on_demand(kSmallEast, [](InstanceId) {});
+  const InstanceId cancelled = on_demand();
   provider_.cancel_request(cancelled);
   // Ended by the customer.
-  const InstanceId ended = provider_.request_on_demand(kSmallEast, [](InstanceId) {});
+  const InstanceId ended = on_demand();
   // Revoked by the provider at the 2 h spike.
-  const InstanceId revoked = provider_.request_spot(kSmallEast, 0.06, [](InstanceId) {},
-                                                    [](AllocFailure) {});
+  const InstanceId revoked = spot(0.06);
   // Price-rejected: requested just before the spike, granted inside it.
   InstanceId rejected = kInvalidInstance;
-  sim_.at(2 * kHour - kMinute, [&] {
-    rejected = provider_.request_spot(kSmallEast, 0.06, [](InstanceId) {},
-                                      [](AllocFailure) {});
-  });
+  sim_.at(2 * kHour - kMinute, [&] { rejected = spot(0.06); });
   sim_.at(kHour, [&] { provider_.terminate(ended); });
   sim_.run_until(5 * kHour);
 
@@ -247,7 +279,7 @@ TEST_F(ProviderTest, EveryIssuedIdAnswersAndEndedOnesReadTerminated) {
 }
 
 TEST_F(ProviderTest, IdZeroAndUnissuedIdsThrow) {
-  const InstanceId last = provider_.request_on_demand(kSmallEast, [](InstanceId) {});
+  const InstanceId last = on_demand();
   EXPECT_THROW((void)provider_.instance(kInvalidInstance), std::out_of_range);
   EXPECT_THROW((void)provider_.instance(last + 1), std::out_of_range);
   EXPECT_NO_THROW((void)provider_.instance(last));
@@ -267,20 +299,19 @@ TEST(Provider, CapacityFailedRequestReadsTerminated) {
   p.add_market(kSmallEast, std::move(t), 0.06);
   p.start();
 
-  std::optional<AllocFailure> failure;
-  const InstanceId iid = p.request_on_demand(
-      kSmallEast, [](InstanceId) {}, [&](AllocFailure why) { failure = why; });
+  RecordingOwner owner(s);
+  const InstanceId iid = p.request_on_demand(kSmallEast, p.add_owner(&owner), 0);
   s.run_until(kHour);
-  ASSERT_EQ(failure, AllocFailure::kInsufficientCapacity);
+  ASSERT_EQ(owner.failed.size(), 1u);
+  EXPECT_EQ(owner.failed[0].instance, iid);
+  EXPECT_EQ(owner.failed[0].reason, AllocFailure::kInsufficientCapacity);
   EXPECT_EQ(p.instance(iid).state, InstanceState::kTerminated);
   EXPECT_TRUE(p.ledger().records().empty());
 }
 
 TEST_F(ProviderTest, FinalizeAppendsRecordsInAscendingIdOrder) {
   std::vector<InstanceId> ids;
-  for (int i = 0; i < 40; ++i) {
-    ids.push_back(provider_.request_on_demand(kSmallEast, [](InstanceId) {}));
-  }
+  for (int i = 0; i < 40; ++i) ids.push_back(on_demand());
   sim_.run_until(kHour);
   // End every third lease early, newest first, so the ledger's head is in
   // descending id order and only finalize's own order remains to check.
@@ -341,9 +372,9 @@ TEST(Provider, MarketIndicesFollowAddOrderAcrossFeedKinds) {
 }
 
 TEST_F(ProviderTest, InstancesCarryTheirMarketIndex) {
-  const InstanceId by_id = provider_.request_on_demand(kSmallEast, [](InstanceId) {});
-  const InstanceId by_index = provider_.request_spot(
-      provider_.index(kSmallEast), 0.06, [](InstanceId) {}, [](AllocFailure) {});
+  const InstanceId by_id = on_demand();
+  const InstanceId by_index =
+      provider_.request_spot(provider_.index(kSmallEast), 0.06, me_, 0);
   EXPECT_EQ(provider_.instance(by_id).market, provider_.index(kSmallEast));
   EXPECT_EQ(provider_.instance(by_index).market, provider_.index(kSmallEast));
   EXPECT_EQ(by_index, by_id + 1);
@@ -355,7 +386,7 @@ TEST_F(ProviderTest, UnknownMarketIdThrowsNamingTheMarket) {
            [&] { (void)provider_.index(bogus); },
            [&] { (void)provider_.market(bogus); },
            [&] { (void)provider_.od_price(bogus); },
-           [&] { (void)provider_.request_spot(bogus, 0.1, {}, {}); }}) {
+           [&] { (void)provider_.request_spot(bogus, 0.1, me_, 0); }}) {
     try {
       lookup();
       ADD_FAILURE() << "no throw";

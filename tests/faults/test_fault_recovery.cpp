@@ -154,7 +154,7 @@ const cloud::MarketId kSmallEast{"us-east-1a", cloud::InstanceSize::kSmall};
 
 /// One market: cheap at t=0, spikes above any sane bid at t=2h, recovers at
 /// t=3h; zero-CV latencies so every timestamp below is exact.
-class WarningFaultTest : public ::testing::Test {
+class WarningFaultTest : public ::testing::Test, private cloud::LeaseOwner {
  protected:
   explicit WarningFaultTest() : rng_(1234), provider_(sim_, rng_) {
     trace::PriceTrace t;
@@ -176,19 +176,20 @@ class WarningFaultTest : public ::testing::Test {
   void run_revocation(const FaultPlan& plan) {
     injector_.emplace(sim_, rng_, plan);
     sim_.set_fault_injector(&*injector_);
-    std::optional<cloud::InstanceId> iid;
-    provider_.request_spot(
-        kSmallEast, 0.06, [&](cloud::InstanceId i) { iid = i; },
-        [](cloud::AllocFailure) {});
+    const cloud::LeaseOwnerId me = provider_.add_owner(this);
+    const cloud::InstanceId iid = provider_.request_spot(kSmallEast, 0.06, me, 0);
     sim_.run_until(sim::kHour);
-    ASSERT_TRUE(iid.has_value());
-    provider_.set_revocation_handler(
-        *iid, [&](cloud::InstanceId i, sim::SimTime t_term) {
-          warned_at_ = sim_.now();
-          term_time_ = t_term;
-          state_at_warning_ = provider_.instance(i).state;
-        });
+    ASSERT_EQ(provider_.instance(iid).state, cloud::InstanceState::kRunning);
+    provider_.arm_revocation(iid, 0);
     sim_.run_until(5 * sim::kHour);
+  }
+
+  void on_ready(cloud::InstanceId, cloud::LeaseTag) override {}
+  void on_failed(cloud::InstanceId, cloud::LeaseTag, cloud::AllocFailure) override {}
+  void on_revocation(cloud::InstanceId i, cloud::LeaseTag, sim::SimTime t_term) override {
+    warned_at_ = sim_.now();
+    term_time_ = t_term;
+    state_at_warning_ = provider_.instance(i).state;
   }
 
   sim::Simulation sim_;

@@ -8,6 +8,12 @@
 //   * migration counters are consistent with the outage causes recorded.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "metrics/experiment.hpp"
 #include "sched/baselines.hpp"
 #include "simcore/simulation.hpp"
@@ -44,6 +50,28 @@ struct StressCase {
   virt::MechanismCombo combo;
   std::uint64_t seed;
 };
+
+/// The case spelled out, e.g. "proactive_multi_market_CKPT_LR_Live_seed1035":
+/// its test name. gtest's default printer would dump the struct's bytes,
+/// padding included, so the name would differ between builds.
+std::string case_name(const StressCase& c) {
+  static constexpr std::string_view kPolicies[] = {"proactive", "reactive", "pure_spot"};
+  const std::string spelled = std::string(kPolicies[c.policy]) + " " +
+                              std::string(sched::to_string(c.scope)) + " " +
+                              std::string(virt::to_string(c.combo)) + " seed" +
+                              std::to_string(c.seed);
+  std::string name;
+  for (const char ch : spelled) {
+    if (std::isalnum(static_cast<unsigned char>(ch)) != 0) {
+      name += ch;
+    } else if (!name.empty() && name.back() != '_') {
+      name += '_';
+    }
+  }
+  return name;
+}
+
+void PrintTo(const StressCase& c, std::ostream* os) { *os << case_name(c); }
 
 class StressSweep : public ::testing::TestWithParam<StressCase> {};
 
@@ -139,7 +167,8 @@ std::vector<StressCase> stress_cases() {
 }
 
 INSTANTIATE_TEST_SUITE_P(HostileMarkets, StressSweep,
-                         ::testing::ValuesIn(stress_cases()));
+                         ::testing::ValuesIn(stress_cases()),
+                         [](const auto& p) { return case_name(p.param); });
 
 class SeedMarathon : public ::testing::TestWithParam<std::uint64_t> {};
 

@@ -1,7 +1,7 @@
 // MarketWatcher: one provider subscription per market no matter how many
-// listeners, deterministic fan-out order, typed hour-tick and revocation
-// triggers. Plus the CrossingDetector edge semantics the scheduler's
-// price-crossing events rely on.
+// listeners, deterministic fan-out order, typed hour-tick triggers. Plus
+// the CrossingDetector edge semantics the scheduler's price-crossing events
+// rely on.
 #include "sched/market_watcher.hpp"
 
 #include <gtest/gtest.h>
@@ -158,28 +158,6 @@ TEST_F(MarketWatcherTest, CancelledHourTickNeverFires) {
   EXPECT_TRUE(ev.cancel());
   sim_->run_until(kHorizon);
   EXPECT_EQ(fired, 0);
-}
-
-TEST_F(MarketWatcherTest, ArmedRevocationRoutesWarningToListener) {
-  // Bid low enough that kA's step to 0.04 at t=1h outbids the instance.
-  std::vector<MarketWatcher::Trigger> warnings;
-  const auto id = add_listener([&](const MarketWatcher::Trigger& t) {
-    if (t.kind == MarketWatcher::TriggerKind::kRevocation) warnings.push_back(t);
-  });
-  cloud::InstanceId granted = cloud::kInvalidInstance;
-  provider_->request_spot(
-      kA, 0.03,
-      [&](cloud::InstanceId iid) {
-        granted = iid;
-        watcher_->arm_revocation(id, iid);
-      },
-      [](cloud::AllocFailure) { FAIL() << "spot request should be granted at 0.02"; });
-  sim_->run_until(kHorizon);
-
-  ASSERT_NE(granted, cloud::kInvalidInstance);
-  ASSERT_EQ(warnings.size(), 1u);
-  EXPECT_EQ(warnings[0].instance, granted);
-  EXPECT_EQ(warnings[0].t_term, kHour + provider_->grace_period());
 }
 
 // The interest index, driven through push-fed markets so each test controls

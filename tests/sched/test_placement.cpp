@@ -84,6 +84,7 @@ class PlacementTest : public ::testing::Test {
  protected:
   void build(std::vector<Step> home_steps,
              std::vector<std::pair<MarketId, std::vector<Step>>> extra = {}) {
+    scheduler_.reset();  // a scheduler must not outlive its provider
     rng_ = std::make_unique<sim::RngFactory>(99);
     sim_ = std::make_unique<sim::Simulation>();
     provider_ = std::make_unique<cloud::CloudProvider>(*sim_, *rng_);

@@ -35,6 +35,7 @@ class SchedulerEdgeTest : public ::testing::Test {
   void build(std::vector<Step> home_steps,
              std::vector<std::pair<MarketId, std::vector<Step>>> extra = {},
              double od_mean_s = 95.0) {
+    scheduler_.reset();  // a scheduler must not outlive its provider
     rng_ = std::make_unique<sim::RngFactory>(7);
     sim_ = std::make_unique<sim::Simulation>();
     provider_ = std::make_unique<cloud::CloudProvider>(*sim_, *rng_);
